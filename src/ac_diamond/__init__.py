@@ -8,7 +8,6 @@ from .geometry import (
     FieldConfig,
     PulseStations,
     default_stations,
-    field_at,
     position,
     station_trajectory,
     velocity,
@@ -16,7 +15,6 @@ from .geometry import (
 from .holonomy import (
     PathSampling,
     Propagator,
-    coupling_generator,
     dyson_second_order,
     effective_hamiltonian_evolve,
     path_ordered_propagator,
@@ -32,7 +30,6 @@ from .measurement import (
     time_to_precision,
 )
 from .phase import (
-    PhaseAccumulator,
     coupling_constant,
     phase_rate,
     segment_phase,
@@ -57,7 +54,6 @@ from .sequence import (
     StarkReport,
     SweepResult,
     build_echo_schedule,
-    echo_cancellation_check,
     fringe_zero_crossings,
     odd_pulse_schedule,
     optimal_readout_lag,

@@ -72,6 +72,15 @@ def _resolved_lag(cfg: ExperimentConfig) -> float:
     return float(cfg.lag)
 
 
+def _echo_setup(args):
+    """Config, standard echo schedule and station-aligned trajectory shared by
+    the schedule-based subcommands."""
+    cfg = _load(args)
+    schedule = build_echo_schedule(cfg.integer_rotations(), cfg.f, _resolved_lag(cfg))
+    traj = station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt)
+    return cfg, schedule, traj
+
+
 def _cmd_phase(args) -> int:
     cfg = _load(args)
     phi = total_rectified_phase(cfg.r, cfg.E0, cfg.n, cfg.g)
@@ -89,16 +98,12 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    n = cfg.integer_rotations()
-    lag = _resolved_lag(cfg)
-    schedule = build_echo_schedule(n, cfg.f, lag)
-    traj = station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt)
+    cfg, schedule, traj = _echo_setup(args)
     grid = np.linspace(0.0, cfg.E0, args.grid)
     sweep = sweep_signal(grid, schedule, traj, _nv_params(cfg))
     crossings = fringe_zero_crossings(sweep.p1)
     idx = sweep.max_slope_index
-    print(f"readout lag: {lag:.6f} rad")
+    print(f"readout lag: {schedule.readout_lag:.6f} rad")
     print(
         f"max |dp1/dE| at grid point {idx}/{grid.size - 1} "
         f"(E = {grid[idx]:.6g} V/m)"
@@ -186,11 +191,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    cfg = _load(args)
-    n = cfg.integer_rotations()
-    lag = _resolved_lag(cfg)
-    schedule = build_echo_schedule(n, cfg.f, lag)
-    traj = station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt)
+    cfg, schedule, traj = _echo_setup(args)
     model = ReadoutModel(alpha0=cfg.alpha0, alpha1=cfg.alpha1)
     params = _nv_params(cfg)
     rows = []
@@ -229,11 +230,7 @@ def _cmd_stark(args) -> int:
 
 
 def _cmd_echo_check(args) -> int:
-    cfg = _load(args)
-    n = cfg.integer_rotations()
-    lag = _resolved_lag(cfg)
-    schedule = build_echo_schedule(n, cfg.f, lag)
-    traj = station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt)
+    cfg, schedule, traj = _echo_setup(args)
     field = FieldConfig(magnitude=cfg.E0)
     params = _nv_params(cfg)
     baseline = simulate_run(schedule, traj, field, params, mode="closed_form")
@@ -255,6 +252,13 @@ def _cmd_echo_check(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ac-diamond",
@@ -271,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="CSV output path (default: stdout)")
         p.add_argument("--seed", type=int, help="override the config seed")
         if steps:
-            p.add_argument("--steps", type=int, default=100000,
+            p.add_argument("--steps", type=_positive_int, default=100000,
                            help="finest path-integration step count")
         if grid:
-            p.add_argument("--grid", type=int, default=201,
+            p.add_argument("--grid", type=_positive_int, default=201,
                            help="number of sweep grid points")
 
     p = sub.add_parser("phase", help="closed-form total rectified A-C phase")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .sequence import integer_rotations
 
 AUTO_LAG = "auto"
 
@@ -23,7 +24,7 @@ class ExperimentConfig:
     r [m]; f [Hz]; E0 [V/m]; n [rotations, fractional allowed for the
     closed-form phase]; T2 [s]; D [Hz]; g [-]; B_z [T]; R2E [Hz/(V/cm)];
     tilt [rad]; lag [rad, or "auto" for the quadrature lag at E0];
-    alpha0, alpha1 [mean photons/shot]; N [ensemble centers]; seed [int].
+    alpha0, alpha1 [mean photons/shot]; N [ensemble centers]; seed [non-negative int].
     """
 
     r: float = 0.01
@@ -47,7 +48,7 @@ class ExperimentConfig:
         for key in positive:
             if not getattr(self, key) > 0.0:
                 raise ConfigError(f"config key {key!r} must be positive")
-        non_negative = ("n", "B_z", "R2E", "alpha0", "alpha1")
+        non_negative = ("n", "B_z", "R2E", "alpha0", "alpha1", "seed")
         for key in non_negative:
             if getattr(self, key) < 0.0:
                 raise ConfigError(f"config key {key!r} must be non-negative")
@@ -58,12 +59,12 @@ class ExperimentConfig:
 
     def integer_rotations(self) -> int:
         """Rotation count for schedule-based subcommands; must be integral."""
-        n_int = int(round(self.n))
-        if abs(self.n - n_int) > 1e-12 or n_int < 1:
+        try:
+            return integer_rotations(self.n)
+        except ValueError:
             raise ConfigError(
                 f"config key 'n' must be a positive integer for this subcommand, got {self.n!r}"
-            )
-        return n_int
+            ) from None
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

@@ -80,17 +80,6 @@ class FieldConfig:
             raise ValueError("field direction must be a unit 3-vector")
         object.__setattr__(self, "direction", direction)
 
-    @classmethod
-    def along_x(cls, magnitude: float) -> "FieldConfig":
-        return cls(magnitude=magnitude)
-
-
-def field_at(cfg: FieldConfig, x) -> np.ndarray:
-    """Field vector in V/m at position x; uniform, so independent of x."""
-    x = np.asarray(x, dtype=float)
-    out = np.broadcast_to(cfg.magnitude * cfg.direction, x.shape).copy()
-    return out
-
 
 @dataclass(frozen=True)
 class PulseStations:

@@ -91,36 +91,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
 
 
-def coupling_generator(
-    t,
-    sampling: PathSampling,
-    params: NVParameters,
-    dimension: int = 3,
-    constants: PhysicalConstants = CODATA,
-    quadratic_mass: float | None = None,
-) -> np.ndarray:
-    """Hermitian motional coupling G(t) in rad/s at a single time t.
-
-    With the field along x and planar motion, E x v points along z and
-    G = coef*E*(Sz*v_y) is diagonal; tilt brings in v_z and hence Sy.
-    ``quadratic_mass`` optionally adds the two quadratic-in-E Hamiltonian terms
-    (normally negligible and echoed away) as their diagonal part.
-    """
-    ops = spin_operators(dimension)
-    traj, cfg = sampling.trajectory, sampling.field
-    e_vec = cfg.magnitude * cfg.direction
-    v = velocity(traj, t)
-    axis = np.cross(e_vec, v)
-    gen = coupling_constant(params, constants) * np.einsum(
-        "i,ijk->jk", axis, ops.vector()
-    )
-    if quadratic_mass is not None:
-        gen = gen + _quadratic_diagonal_shift(
-            e_vec, ops, params, quadratic_mass, constants
-        )
-    return gen
-
-
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [
     (0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
@@ -130,7 +100,7 @@ for _i, _j, _k, _s in [
 
 
 def _quadratic_diagonal_shift(e_vec, ops, params, mass, constants) -> np.ndarray:
-    """Diagonal part of (mu^2 E^2 - (mu S x E)^2)/(2 m c^4 hbar), mu = g*mu_B.
+    """Diagonal of (mu^2 E^2 - (mu S x E)^2)/(2 m c^4 hbar) in rad/s, mu = g*mu_B.
 
     These are the two quadratic-in-E Hamiltonian terms dropped from the
     coupling; only their level shifts (the echo-cancellable part) are kept.
@@ -142,7 +112,7 @@ def _quadratic_diagonal_shift(e_vec, ops, params, mass, constants) -> np.ndarray
     full = mu * mu * (e_sq * np.eye(ops.dimension) - sq) / (
         2.0 * mass * constants.c**4 * constants.hbar
     )
-    return np.diag(np.real(np.diag(full)))
+    return np.real(np.diag(full))
 
 
 def _generator_grid(
@@ -263,13 +233,13 @@ def effective_hamiltonian_evolve(
             raise ValueError("detuning bookkeeping is defined for spin-1 states")
         const_diag = const_diag + np.array([0.0, 0.0, TWO_PI * detuning_hz])
     if quadratic_mass is not None:
-        const_diag = const_diag + np.real(np.diag(_quadratic_diagonal_shift(
+        const_diag = const_diag + _quadratic_diagonal_shift(
             sampling.field.magnitude * sampling.field.direction,
             spin_operators(dimension),
             params,
             quadratic_mass,
             constants,
-        )))
+        )
     gens, dt = _generator_grid(sampling, params, dimension, constants)
     # The per-step rotation bound applies to the motional coupling; constant
     # diagonal terms are exponentiated exactly at any step size.

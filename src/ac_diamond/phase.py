@@ -9,8 +9,6 @@ rectified total over n rotations is 4*g*mu_B*r*E*n/(hbar*c^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NumericPreconditionError
@@ -95,29 +93,3 @@ def total_rectified_phase(
     return 4.0 * g * constants.mu_B * radius * e_field * n_rotations / (
         constants.hbar * constants.c**2
     )
-
-
-@dataclass
-class PhaseAccumulator:
-    """Signed phase total plus a per-segment log of (t0, t1, delta_phase)."""
-
-    phase: float = 0.0
-    segments: list[tuple[float, float, float]] = field(default_factory=list)
-
-    def add_segment(
-        self,
-        t0: float,
-        t1: float,
-        traj: DiskTrajectory,
-        cfg: FieldConfig,
-        params: NVParameters,
-        constants: PhysicalConstants = CODATA,
-        sign: float = 1.0,
-    ) -> float:
-        delta = sign * segment_phase(t0, t1, traj, cfg, params, constants)
-        self.segments.append((t0, t1, delta))
-        self.phase += delta
-        return delta
-
-    def segment_sum(self) -> float:
-        return float(sum(d for _, _, d in self.segments))

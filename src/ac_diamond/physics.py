@@ -72,14 +72,6 @@ class SpinOperators:
     Sy: np.ndarray
     Sz: np.ndarray
 
-    @property
-    def spin(self) -> float:
-        return (self.dimension - 1) / 2.0
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return np.arange(self.dimension) - self.spin
-
     def vector(self) -> np.ndarray:
         """Stacked (3, dim, dim) array (Sx, Sy, Sz) for vectorised contractions."""
         return np.stack([self.Sx, self.Sy, self.Sz])
@@ -105,7 +97,6 @@ def spin_operators(dimension: int) -> SpinOperators:
     return SpinOperators(dimension=dimension, Sx=sx, Sy=sy, Sz=sz)
 
 
-SPIN_HALF = spin_operators(2)
 SPIN_ONE = spin_operators(3)
 
 
@@ -173,14 +164,7 @@ def ground_state_hamiltonian(
     H = h*D*(Sz^2 - (2/3) I) + g*mu_B*B_z*Sz, which places |+-1> a spectroscopic
     splitting D above |0> at zero field and splits them linearly in B_z.
     """
-    ops = SPIN_ONE
-    sz = ops.Sz
+    sz = SPIN_ONE.Sz
     zfs = constants.h * params.D * (sz @ sz - (2.0 / 3.0) * np.eye(3))
     zeeman = params.g * constants.mu_B * params.B_z * sz
     return zfs + zeeman
-
-
-def transition_energies(hamiltonian: np.ndarray) -> tuple[float, float]:
-    """Diagonal level energies of (|-1>, |+1>) relative to |0>, in joules."""
-    diag = np.real(np.diag(hamiltonian))
-    return float(diag[0] - diag[1]), float(diag[2] - diag[1])

@@ -86,7 +86,8 @@ class EchoSchedule:
         return sum(1 for ev in self.events if ev.kind == PI)
 
 
-def _integer_rotations(n) -> int:
+def integer_rotations(n) -> int:
+    """The rotation count n as an int; schedules need a positive integer."""
     n_int = int(round(float(n)))
     if abs(float(n) - n_int) > 1e-12 or n_int < 1:
         raise ValueError(
@@ -95,16 +96,15 @@ def _integer_rotations(n) -> int:
     return n_int
 
 
-def build_echo_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
-    """Standard even schedule: 2n pi pulses at the station crossings k/(2f),
-    k = 1..2n, with the final pi/2 (phase -lag) and readout at t = n/f."""
-    n_int = _integer_rotations(n)
+def _station_schedule(n_int: int, intervals: int, f: float, lag: float) -> EchoSchedule:
+    """Pump and pi/2 at t = 0, pi pulses at the station crossings k/(2f) for
+    k = 1..intervals, and the final pi/2 (phase -lag) plus readout at the last."""
     if f <= 0.0:
         raise ValueError("rotation frequency must be positive")
     h = 1.0 / (2.0 * f)
     events = [PulseEvent(0.0, PUMP), PulseEvent(0.0, HALF_PI, 0.0)]
-    events += [PulseEvent(k * h, PI, 0.0) for k in range(1, 2 * n_int + 1)]
-    t_end = (2 * n_int) * h
+    events += [PulseEvent(k * h, PI, 0.0) for k in range(1, intervals + 1)]
+    t_end = intervals * h
     events += [PulseEvent(t_end, HALF_PI, -lag), PulseEvent(t_end, READOUT)]
     return EchoSchedule(
         events=tuple(events),
@@ -113,6 +113,13 @@ def build_echo_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
         duration=t_end,
         readout_lag=lag,
     )
+
+
+def build_echo_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
+    """Standard even schedule: 2n pi pulses at the station crossings k/(2f),
+    k = 1..2n, with the final pi/2 (phase -lag) and readout at t = n/f."""
+    n_int = integer_rotations(n)
+    return _station_schedule(n_int, 2 * n_int, f, lag)
 
 
 def odd_pulse_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
@@ -121,21 +128,8 @@ def odd_pulse_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
     The odd interval count leaves exactly one uncancelled interval, so a
     constant detuning delta survives as a residual phase 2*pi*delta/(2f).
     """
-    n_int = _integer_rotations(n)
-    if f <= 0.0:
-        raise ValueError("rotation frequency must be positive")
-    h = 1.0 / (2.0 * f)
-    events = [PulseEvent(0.0, PUMP), PulseEvent(0.0, HALF_PI, 0.0)]
-    events += [PulseEvent(k * h, PI, 0.0) for k in range(1, 2 * n_int)]
-    t_end = (2 * n_int - 1) * h
-    events += [PulseEvent(t_end, HALF_PI, -lag), PulseEvent(t_end, READOUT)]
-    return EchoSchedule(
-        events=tuple(events),
-        n_rotations=n_int,
-        frequency=f,
-        duration=t_end,
-        readout_lag=lag,
-    )
+    n_int = integer_rotations(n)
+    return _station_schedule(n_int, 2 * n_int - 1, f, lag)
 
 
 def strip_pi_pulses(schedule: EchoSchedule) -> EchoSchedule:
@@ -207,7 +201,8 @@ def simulate_run(
     closed_form: multiplies the |1> amplitude by the per-interval A-C segment
     phase plus detuning phase, flipping the bookkeeping sign at each pi pulse;
     requires planar motion and phase-0 pi pulses.  Detuning phases are
-    accumulated tick-wise so the even-pulse echo cancellation is exact.
+    accumulated tick-wise so the even-pulse echo cancellation is exact; with
+    nonzero detuning every interval must span whole half periods.
 
     oracle: integrates each interval with the unitarity-preserving stepper and
     applies the pulse rotation matrices; tolerates tilt.
@@ -234,7 +229,13 @@ def _run_closed_form(schedule, traj, field, params, detuning_hz, constants):
     for ev in schedule.events:
         if ev.time > cursor:
             d_ac = segment_phase(cursor, ev.time, traj, field, params, constants)
-            ticks = round((ev.time - cursor) / half)
+            spans = (ev.time - cursor) / half
+            ticks = round(spans)
+            if detuning_hz != 0.0 and abs(spans - ticks) > 1e-9:
+                raise NumericPreconditionError(
+                    "closed-form detuning bookkeeping needs pulses on the "
+                    "half-period grid"
+                )
             ac_total += sign * d_ac
             static_total += sign * tick_phase * ticks
             cursor = ev.time
@@ -411,7 +412,6 @@ class StarkModel:
     """Ground-state linear Stark coupling between |−1> and |+1>."""
 
     R2E: float
-    theta0: float = 0.0  # angle to the nearest crystal symmetry plane
 
     def __post_init__(self):
         if self.R2E < 0.0:
@@ -455,23 +455,3 @@ def stark_shift(
         modulation_hz=modulation,
         adiabatic=modulation < zeeman / 100.0,
     )
-
-
-def echo_cancellation_check(
-    detuning_hz: float,
-    schedule: EchoSchedule,
-    traj: DiskTrajectory,
-    field: FieldConfig,
-    params: NVParameters,
-    constants: PhysicalConstants = CODATA,
-) -> float:
-    """Residual non-A-C phase at readout for a constant detuning.
-
-    Exactly zero for the even-pulse schedule (alternating identical interval
-    phases cancel pairwise); the odd diagnostic leaves 2*pi*detuning/(2f)."""
-    result = simulate_run(
-        schedule, traj, field, params, mode="closed_form",
-        detuning_hz=detuning_hz, constants=constants,
-    )
-    assert result.static_phase is not None
-    return result.static_phase

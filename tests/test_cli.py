@@ -164,6 +164,29 @@ class TestErrors:
         assert "'r'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config_text",
+    [
+        (["sweep", "--grid", "0"], ""),
+        (["sweep", "--grid", "-3"], ""),
+        (["montecarlo"], "seed = -1\n"),
+        (["montecarlo", "--seed", "-5"], ""),
+        (["holonomy", "--steps", "0"], ""),
+        (["holonomy", "--steps", "-5"], ""),
+    ],
+    ids=["grid-0", "grid-neg", "config-seed-neg", "flag-seed-neg", "steps-0", "steps-neg"],
+)
+def test_bad_flags_and_seeds_exit_2(argv, config_text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 7\n" + config_text)
+    try:
+        code = main([*argv, "--config", str(cfg)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_csv_floats_are_full_precision(tmp_path):
     out = tmp_path / "sweep.csv"
     main(["sweep", "--config", PHI10_CFG, "--grid", "11", "--out", str(out)])

@@ -10,7 +10,6 @@ from ac_diamond.geometry import (
     FieldConfig,
     PulseStations,
     default_stations,
-    field_at,
     position,
     station_trajectory,
     velocity,
@@ -90,19 +89,6 @@ def test_untilted_motion_is_planar():
 
 
 class TestField:
-    def test_uniform_along_x(self):
-        cfg = FieldConfig(magnitude=3e7)
-        for x in ([0.0, 0.0, 0.0], [0.01, -0.02, 0.3]):
-            assert np.allclose(field_at(cfg, x), [3e7, 0.0, 0.0])
-
-    def test_zero_magnitude(self):
-        cfg = FieldConfig(magnitude=0.0)
-        assert np.allclose(field_at(cfg, [1.0, 2.0, 3.0]), 0.0)
-
-    def test_y_direction(self):
-        cfg = FieldConfig(magnitude=1.0, direction=np.array([0.0, 1.0, 0.0]))
-        assert np.allclose(field_at(cfg, [0.5, 0.5, 0.5]), [0.0, 1.0, 0.0])
-
     def test_rejects_non_unit_direction(self):
         with pytest.raises(ValueError):
             FieldConfig(magnitude=1.0, direction=np.array([1.0, 1.0, 0.0]))

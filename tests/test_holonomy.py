@@ -8,14 +8,15 @@ from ac_diamond.geometry import FieldConfig, station_trajectory, velocity
 from ac_diamond.holonomy import (
     PathSampling,
     Propagator,
-    coupling_generator,
+    _generator_grid,
+    _quadratic_diagonal_shift,
     dyson_second_order,
     effective_hamiltonian_evolve,
     path_ordered_propagator,
     unitarity_defect,
 )
 from ac_diamond.phase import coupling_constant, segment_phase
-from ac_diamond.physics import NVParameters, SpinState, spin_operators
+from ac_diamond.physics import CODATA, NVParameters, SpinState, spin_operators
 
 PARAMS = NVParameters()
 RADIUS, FREQ = 0.01, 4000.0
@@ -38,9 +39,14 @@ def scaled_field(traj, budget=0.1, steps=20001):
     return FieldConfig(magnitude=budget / per_volt)
 
 
+def generators(samp, dimension=3):
+    return _generator_grid(samp, PARAMS, dimension, CODATA)[0]
+
+
 class TestCouplingGenerator:
     def test_planar_generator_is_diagonal_sz(self):
-        gen = coupling_generator(HALF / 2.0, sampling(10), PARAMS)
+        # one step over the first half rotation: its midpoint is the fastest +y point
+        gen = generators(sampling(1))[0]
         off = gen - np.diag(np.diag(gen))
         assert np.max(np.abs(off)) == 0.0
         # G = coef*E*v_y*Sz at the fastest +y point
@@ -48,30 +54,24 @@ class TestCouplingGenerator:
         assert np.real(gen[2, 2]) == pytest.approx(expected, rel=1e-9)
 
     def test_zero_field_gives_zero(self):
-        gen = coupling_generator(1e-5, sampling(10, field=FieldConfig(magnitude=0.0)),
-                                 PARAMS)
-        assert np.max(np.abs(gen)) == 0.0
+        gens = generators(sampling(10, field=FieldConfig(magnitude=0.0)))
+        assert np.max(np.abs(gens)) == 0.0
 
     def test_tilt_offdiagonal_fraction(self):
         # max-over-time off-diagonal vs diagonal spectral norms: the ratio is
         # sin(tilt), bounded by tan(tilt)
         tilt = 0.1
         tilted = station_trajectory(RADIUS, FREQ, tilt=tilt)
-        samp = sampling(10, t1=1.0 / FREQ, traj=tilted)
-        times = np.linspace(0.0, 1.0 / FREQ, 401)
-        off_norm = 0.0
-        diag_norm = 0.0
-        for t in times:
-            gen = coupling_generator(t, samp, PARAMS)
-            diag = np.diag(np.diag(gen))
-            off_norm = max(off_norm, np.linalg.norm(gen - diag, 2))
-            diag_norm = max(diag_norm, np.linalg.norm(diag, 2))
+        gens = generators(sampling(400, t1=1.0 / FREQ, traj=tilted))
+        diags = np.einsum("nii->ni", gens)[:, :, None] * np.eye(3)
+        off_norm = np.max(np.linalg.norm(gens - diags, 2, axis=(1, 2)))
+        diag_norm = np.max(np.linalg.norm(diags, 2, axis=(1, 2)))
         ratio = off_norm / diag_norm
         assert ratio <= np.tan(tilt) + 1e-9
         assert ratio == pytest.approx(np.sin(tilt), rel=1e-3)
 
     def test_spin_half_dimension(self):
-        gen = coupling_generator(HALF / 2.0, sampling(10), PARAMS, dimension=2)
+        gen = generators(sampling(1), dimension=2)[0]
         assert gen.shape == (2, 2)
         assert np.real(gen[1, 1]) == pytest.approx(
             0.5 * coupling_constant(PARAMS) * 3e7 * 2 * np.pi * FREQ * RADIUS,
@@ -79,14 +79,15 @@ class TestCouplingGenerator:
         )
 
     def test_quadratic_terms_add_constant_diagonal(self):
-        samp = sampling(10)
-        base = coupling_generator(1e-5, samp, PARAMS)
-        shifted = coupling_generator(1e-5, samp, PARAMS, quadratic_mass=2e-26)
-        delta = shifted - base
-        assert np.max(np.abs(delta - np.diag(np.diag(delta)))) == 0.0
-        other = coupling_generator(7e-5, samp, PARAMS, quadratic_mass=2e-26) - \
-            coupling_generator(7e-5, samp, PARAMS)
-        assert np.allclose(delta, other)
+        # E along x: (S x E)^2 = E^2 (Sy^2 + Sz^2), whose spin-1 diagonal is
+        # E^2 (3/2, 1, 3/2), so the level shifts are scale * (-1/2, 0, -1/2)
+        mass = 2e-26
+        mu = PARAMS.g * CODATA.mu_B
+        scale = (mu * 3e7) ** 2 / (2.0 * mass * CODATA.c**4 * CODATA.hbar)
+        shift = _quadratic_diagonal_shift(
+            FIELD.magnitude * FIELD.direction, spin_operators(3), PARAMS, mass, CODATA
+        )
+        assert shift == pytest.approx(scale * np.array([-0.5, 0.0, -0.5]), rel=1e-12)
 
 
 class TestPathOrderedPropagator:

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from ac_diamond.errors import NumericPreconditionError
 from ac_diamond.geometry import DiskTrajectory, FieldConfig, station_trajectory
 from ac_diamond.phase import (
-    PhaseAccumulator,
     coupling_constant,
     phase_rate,
     segment_phase,
@@ -134,19 +133,6 @@ class TestTotalRectifiedPhase:
             sign = -sign
         total = total_rectified_phase(0.01, 3e7, float(n), 2.0)
         assert abs(acc - total) < 1e-10
-
-
-class TestPhaseAccumulator:
-    def test_total_matches_segment_log(self):
-        acc = PhaseAccumulator()
-        sign = 1.0
-        for k in range(4):
-            acc.add_segment(k * HALF, (k + 1) * HALF, TRAJ, FIELD, PARAMS, sign=sign)
-            sign = -sign
-        assert abs(acc.phase - acc.segment_sum()) < 1e-12
-        assert acc.phase == pytest.approx(
-            total_rectified_phase(0.01, 3e7, 2.0, 2.0), rel=1e-9
-        )
 
 
 def test_coupling_constant_matches_oracle():

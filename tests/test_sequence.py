@@ -17,7 +17,6 @@ from ac_diamond.sequence import (
     PulseEvent,
     StarkModel,
     build_echo_schedule,
-    echo_cancellation_check,
     fringe_zero_crossings,
     odd_pulse_schedule,
     optimal_readout_lag,
@@ -36,6 +35,11 @@ TRAJ = station_trajectory(RADIUS, FREQ)
 FIELD = FieldConfig(magnitude=3e7)
 # fluorescence-curve setup: E0 chosen so the rectified phase at n=7 is 10 rad
 E0_PHI10 = 18249962.499985337
+
+
+def static_phase(detuning, sched):
+    """Residual non-A-C phase at readout of a closed-form run."""
+    return simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=detuning).static_phase
 
 
 class TestBuildEchoSchedule:
@@ -123,6 +127,28 @@ class TestSimulateRunClosedForm:
         with pytest.raises(ValueError):
             simulate_run(sched, traj, FIELD, PARAMS)
 
+    def test_rejects_detuning_off_the_half_period_grid(self):
+        # pi pulses at 0.3h and h over 2h: the detuning phase is
+        # 2*pi*delta*(0.3 - 0.7 + 1)h = 0.471 rad at 1 kHz, which whole
+        # half-period ticks would round to 0
+        h = 1.0 / (2.0 * FREQ)
+        events = (
+            PulseEvent(0.0, "pump"), PulseEvent(0.0, "half_pi"),
+            PulseEvent(0.3 * h, "pi"), PulseEvent(h, "pi"),
+            PulseEvent(2.0 * h, "half_pi"), PulseEvent(2.0 * h, "readout"),
+        )
+        sched = EchoSchedule(events, n_rotations=1, frequency=FREQ,
+                             duration=2.0 * h, readout_lag=0.0)
+        with pytest.raises(NumericPreconditionError):
+            simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=1e3)
+        closed = simulate_run(sched, TRAJ, FIELD, PARAMS)
+        oracle = simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle",
+                              detuning_hz=1e3)
+        exact = closed.ac_phase + 2.0 * math.pi * 1e3 * 0.6 * h
+        assert oracle.p1 == pytest.approx(
+            0.5 * (1.0 + closed.coherence * math.cos(exact)), abs=1e-6
+        )
+
     def test_envelope_scales_fringe_only(self):
         lag = 0.4
         sched = build_echo_schedule(5, FREQ, lag)
@@ -201,17 +227,17 @@ class TestEchoCancellation:
     @pytest.mark.parametrize("detuning", [1e5, 1e6, 1e7])
     def test_even_schedule_cancels_exactly(self, detuning):
         sched = build_echo_schedule(5, FREQ)
-        residual = echo_cancellation_check(detuning, sched, TRAJ, FIELD, PARAMS)
+        residual = static_phase(detuning, sched)
         assert abs(residual) < 1e-9
 
     def test_zero_detuning(self):
         sched = build_echo_schedule(5, FREQ)
-        assert echo_cancellation_check(0.0, sched, TRAJ, FIELD, PARAMS) == 0.0
+        assert static_phase(0.0, sched) == 0.0
 
     def test_odd_schedule_leaves_one_interval(self):
         detuning = 1e6
         sched = odd_pulse_schedule(5, FREQ)
-        residual = echo_cancellation_check(detuning, sched, TRAJ, FIELD, PARAMS)
+        residual = static_phase(detuning, sched)
         expected = 2.0 * math.pi * detuning / (2.0 * FREQ)
         assert abs(residual) == pytest.approx(expected, rel=1e-12)
 
