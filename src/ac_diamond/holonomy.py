@@ -137,9 +137,9 @@ def _generator_grid(
 def _check_step_resolution(gens: np.ndarray, dt: float) -> None:
     # ||G||_2 <= max-row-sum bound; cheap and tight enough for the 0.5 rad gate.
     bound = float(np.max(np.sum(np.abs(gens), axis=-1)))
-    if dt * bound >= MAX_STEP_PHASE:
+    if not dt * bound < MAX_STEP_PHASE:  # also refuses a NaN bound
         raise NumericPreconditionError(
-            f"step too coarse: dt*max||G|| = {dt * bound:.3g} rad >= {MAX_STEP_PHASE}"
+            f"step too coarse: dt*max||G|| = {dt * bound:.3g} rad, not below {MAX_STEP_PHASE}"
         )
 
 

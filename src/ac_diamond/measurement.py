@@ -43,7 +43,15 @@ def contrast(model: ReadoutModel) -> float:
     diff = model.alpha0 - model.alpha1
     if diff == 0.0:
         raise ValueError("alpha0 = alpha1 gives zero contrast")
-    return (1.0 + 2.0 * (model.alpha0 + model.alpha1) / diff**2) ** -0.5
+    square = diff * diff  # inf for huge counts (C -> 1), where diff**2 raises
+    noise = 2.0 * (model.alpha0 + model.alpha1) / square if square else math.inf
+    c_factor = (1.0 + noise) ** -0.5
+    if not c_factor > 0.0:
+        raise NumericPreconditionError(
+            f"contrast of alpha0 = {model.alpha0!r}, alpha1 = {model.alpha1!r} "
+            "underflows or is undefined"
+        )
+    return c_factor
 
 
 def analytic_sensitivity(c_factor: float, t2: float) -> float:
@@ -63,7 +71,8 @@ def time_to_precision(eta: float, delta_phi: float) -> float:
     """Total measurement time (s) to reach phase uncertainty delta_phi."""
     if eta <= 0.0 or delta_phi <= 0.0:
         raise ValueError("eta and delta_phi must be positive")
-    return (eta / delta_phi) ** 2
+    ratio = eta / delta_phi
+    return ratio * ratio  # inf rather than the OverflowError of ratio**2
 
 
 @dataclass(frozen=True)

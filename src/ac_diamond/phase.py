@@ -82,13 +82,14 @@ def total_rectified_phase(
     """Total pi-pulse-rectified A-C phase 4*g*mu_B*r*E*n/(hbar*c^2).
 
     Fractional n is allowed for diagnostics; the closed form matches the echo
-    simulation only at integer n (station-aligned readout).
+    simulation only at integer n (station-aligned readout).  Any argument may
+    be a numpy array; scalar arguments give a float.
     """
-    if radius < 0.0:
+    if np.any(radius < 0.0):
         raise ValueError("radius must be non-negative")
-    if e_field < 0.0:
+    if np.any(e_field < 0.0):
         raise ValueError("field magnitude must be non-negative")
-    if n_rotations < 0.0:
+    if np.any(n_rotations < 0.0):
         raise ValueError("rotation count must be non-negative")
     return 4.0 * g * constants.mu_B * radius * e_field * n_rotations / (
         constants.hbar * constants.c**2

@@ -155,8 +155,15 @@ class RunResult:
     static_phase: float | None = None
 
     def __post_init__(self):
-        if not -1e-12 <= self.p1 <= 1.0 + 1e-12:
-            raise ValueError(f"population out of range: {self.p1!r}")
+        _require_population(self.p1)
+
+
+def _require_population(p1) -> None:
+    """Range check on a |1> population, or on every entry of an array of them."""
+    in_range = (p1 >= -1e-12) & (p1 <= 1.0 + 1e-12)
+    if not np.all(in_range):
+        worst = np.ravel(p1)[np.argmin(np.ravel(in_range))]
+        raise ValueError(f"population out of range: {float(worst)!r}")
 
 
 def signal_probability(phi: float, lag: float, t_r: float, t2: float) -> float:
@@ -198,27 +205,41 @@ def simulate_run(
 ) -> RunResult:
     """Evolve one echo run and read out the |1> population.
 
-    closed_form: multiplies the |1> amplitude by the per-interval A-C segment
-    phase plus detuning phase, flipping the bookkeeping sign at each pi pulse;
-    requires planar motion and phase-0 pi pulses.  Detuning phases are
-    accumulated tick-wise so the even-pulse echo cancellation is exact; with
-    nonzero detuning every interval must span whole half periods.
+    closed_form: one walk over the schedule (:func:`_closed_form_walk`)
+    evaluated at this field; requires planar motion and phase-0 pi pulses.
 
     oracle: integrates each interval with the unitarity-preserving stepper and
     applies the pulse rotation matrices; tolerates tilt.
     """
     if mode not in ("closed_form", "oracle"):
         raise ValueError(f"unknown simulation mode {mode!r}")
-    _validate_run_inputs(schedule, traj)
     if mode == "closed_form":
-        return _run_closed_form(schedule, traj, field, params, detuning_hz, constants)
+        walk = _closed_form_walk(schedule, traj, field, params, detuning_hz, constants)
+        coherence = math.exp(-schedule.duration / params.T2)
+        return RunResult(
+            p1=float(_echo_p1(1.0, walk, coherence)),
+            ac_phase=walk[0],
+            coherence=coherence,
+            static_phase=walk[1],
+        )
+    _validate_run_inputs(schedule, traj)
     return _run_oracle(
         schedule, traj, field, params, detuning_hz, steps_per_interval,
         constants, quadratic_mass,
     )
 
 
-def _run_closed_form(schedule, traj, field, params, detuning_hz, constants):
+def _closed_form_walk(schedule, traj, field, params, detuning_hz, constants):
+    """Walk the pulse schedule once and return (phi, static_phase, final_phase).
+
+    phi sums the per-interval A-C segment phases at ``field``, flipping the
+    bookkeeping sign at each pi pulse.  Detuning phases are accumulated
+    tick-wise so the even-pulse echo cancellation is exact; with nonzero
+    detuning every interval must span whole half periods.  phi is linear in
+    the field magnitude: a sweep walks once at unit magnitude and scales phi by
+    each E in :func:`_echo_p1`, a single run walks at its own field.
+    """
+    _validate_run_inputs(schedule, traj)
     half = schedule.half_period
     tick_phase = TWO_PI * detuning_hz * half  # one float reused for every tick
     sign = 1.0
@@ -251,12 +272,14 @@ def _run_closed_form(schedule, traj, field, params, detuning_hz, constants):
             raise NumericPreconditionError(
                 "closed-form bookkeeping assumes a phase-0 opening pulse"
             )
-    coherence = math.exp(-schedule.duration / params.T2)
-    total = ac_total + static_total
-    p1 = 0.5 * (1.0 + coherence * math.cos(total + final_phase))
-    return RunResult(
-        p1=p1, ac_phase=ac_total, coherence=coherence, static_phase=static_total
-    )
+    return ac_total, static_total, final_phase
+
+
+def _echo_p1(scale, walk, coherence):
+    """1/2*(1 + coherence*cos(scale*phi + static_phase + final_phase)) for a
+    walk (phi, static_phase, final_phase); ``scale`` may be a numpy array."""
+    phi, static_phase, final_phase = walk
+    return 0.5 * (1.0 + coherence * np.cos(scale * phi + static_phase + final_phase))
 
 
 def _run_oracle(
@@ -335,32 +358,25 @@ def sweep_signal(
 ) -> SweepResult:
     """Closed-form signal for each field magnitude on a monotone grid.
 
-    ``p1`` is the T2 -> infinity fringe; ``p1_decohered`` applies the exact
-    envelope identity p1_T2 = 1/2 + exp(-t_r/T2)*(p1 - 1/2).  The slope column
-    uses central differences (one-sided at the grid ends).
+    The rectified phase is linear in E, so the schedule is walked once at unit
+    field and p1 follows for the whole grid in one array expression.  ``p1`` is
+    the T2 -> infinity fringe; ``p1_decohered`` applies the exact envelope
+    identity p1_T2 = 1/2 + exp(-t_r/T2)*(p1 - 1/2).  The slope column uses
+    central differences (one-sided at the grid ends).
     """
     e_values = np.asarray(e_values, dtype=float)
     if e_values.size == 0:
         raise ValueError("sweep grid is empty")
     if np.any(np.diff(e_values) < 0.0) or e_values[0] < 0.0:
         raise ValueError("sweep grid must be monotone non-decreasing from E >= 0")
-    params_ideal = replace(params, T2=math.inf)
-    p1 = np.array(
-        [
-            simulate_run(
-                schedule, traj, FieldConfig(magnitude=e), params_ideal,
-                mode="closed_form", constants=constants,
-            ).p1
-            for e in e_values
-        ]
+    # T2 -> infinity, so coherence 1
+    walk = _closed_form_walk(
+        schedule, traj, FieldConfig(magnitude=1.0), params, 0.0, constants
     )
-    phases = np.array(
-        [
-            total_rectified_phase(
-                traj.radius, e, schedule.n_rotations, params.g, constants
-            )
-            for e in e_values
-        ]
+    p1 = _echo_p1(e_values, walk, 1.0)
+    _require_population(p1)
+    phases = total_rectified_phase(
+        traj.radius, e_values, schedule.n_rotations, params.g, constants
     )
     envelope = math.exp(-schedule.duration / params.T2)
     p1_decohered = 0.5 + envelope * (p1 - 0.5)
@@ -441,12 +457,13 @@ def stark_shift(
     The coupling is an ordinary frequency R2E * E with E in V/cm; the shift is
     coupling^2 / (Zeeman splitting frequency) and is removed by the pi pulses.
     """
-    if params.B_z <= 0.0:
+    zeeman = 2.0 * params.g * constants.mu_B * params.B_z / constants.h
+    if not 0.0 < zeeman < math.inf:
         raise NumericPreconditionError(
-            "B_z must be positive: degenerate |+-1> levels have no adiabatic shift"
+            f"Zeeman splitting {zeeman!r} Hz must be positive and finite: "
+            "degenerate |+-1> levels have no adiabatic shift"
         )
     coupling = stark.R2E * (e_field_v_per_m / 100.0)
-    zeeman = 2.0 * params.g * constants.mu_B * params.B_z / constants.h
     modulation = 3.0 * f_disk
     return StarkReport(
         coupling_hz=coupling,

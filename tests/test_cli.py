@@ -187,6 +187,28 @@ def test_bad_flags_and_seeds_exit_2(argv, config_text, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config_text",
+    [
+        (["holonomy", "--steps", "16"], "r = 1e300\nn = 1\n"),
+        (["stark"], "g = 1e-300\n"),
+        (["sensitivity"], "alpha0 = 1e300\nalpha1 = 0\n"),
+        (["sensitivity"], "alpha0 = 5e-324\nalpha1 = 0\n"),
+        (["sensitivity"], "alpha0 = 1.7e308\nalpha1 = 1.6e308\n"),
+        (["sensitivity"], "alpha0 = 1e-160\nalpha1 = 0\nT2 = 1e-300\n"),
+    ],
+    ids=["holonomy-huge-radius", "stark-tiny-g", "sensitivity-huge-counts",
+         "sensitivity-tiny-counts", "sensitivity-overflowing-sum",
+         "sensitivity-overflowing-time"],
+)
+def test_extreme_values_exit_0_or_3(argv, config_text, tmp_path, capsys):
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(config_text)
+    code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    assert code in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_csv_floats_are_full_precision(tmp_path):
     out = tmp_path / "sweep.csv"
     main(["sweep", "--config", PHI10_CFG, "--grid", "11", "--out", str(out)])

@@ -113,6 +113,12 @@ class TestPathOrderedPropagator:
         with pytest.raises(NumericPreconditionError):
             path_ordered_propagator(sampling(1), PARAMS)
 
+    def test_non_finite_generators_rejected(self):
+        # r = 1e300 makes inf * 0 in the generator grid, so its bound is NaN
+        huge = station_trajectory(1e300, FREQ)
+        with pytest.raises(NumericPreconditionError):
+            path_ordered_propagator(sampling(16, traj=huge), PARAMS)
+
     def test_second_order_convergence(self):
         exact = segment_phase(0.0, HALF, PLANAR, FIELD, PARAMS)
 

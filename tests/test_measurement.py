@@ -43,6 +43,14 @@ class TestContrast:
     def test_default_model_lands_on_reference_contrast(self):
         assert contrast(MODEL) == pytest.approx(0.05, rel=1e-12)
 
+    def test_huge_counts_saturate_instead_of_overflowing(self):
+        assert contrast(ReadoutModel(alpha0=1e300, alpha1=0.0)) == 1.0
+
+    @pytest.mark.parametrize("alpha0, alpha1", [(5e-324, 0.0), (1.7e308, 1.6e308)])
+    def test_unrepresentable_contrast_rejected(self, alpha0, alpha1):
+        with pytest.raises(NumericPreconditionError):
+            contrast(ReadoutModel(alpha0=alpha0, alpha1=alpha1))
+
     def test_equal_means_rejected(self):
         with pytest.raises(ValueError):
             ReadoutModel(alpha0=0.03, alpha1=0.03)

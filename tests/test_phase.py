@@ -123,6 +123,16 @@ class TestTotalRectifiedPhase:
         with pytest.raises(ValueError):
             total_rectified_phase(0.01, -3e7, 1.0, 2.0)
 
+    def test_array_field_matches_scalar_calls(self):
+        fields = np.linspace(0.0, 3e7, 7)
+        phis = total_rectified_phase(0.01, fields, 7, 2.0)
+        assert phis.tolist() == [total_rectified_phase(0.01, e, 7, 2.0) for e in fields]
+        assert type(total_rectified_phase(0.01, 3e7, 7, 2.0)) is float
+
+    def test_array_with_a_negative_field_rejected(self):
+        with pytest.raises(ValueError):
+            total_rectified_phase(0.01, np.array([0.0, -1.0, 3e7]), 7, 2.0)
+
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_rectification_identity(self, n):
         # alternating-sign sum of the 2n station-to-station segments

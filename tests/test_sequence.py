@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ac_diamond.cli import ECHO_DETUNINGS, main
 from ac_diamond.errors import NumericPreconditionError
 from ac_diamond.geometry import DiskTrajectory, FieldConfig, station_trajectory
 from ac_diamond.phase import total_rectified_phase
@@ -324,6 +325,80 @@ class TestSweep:
             sweep_signal(np.array([0.0, 2.0, 1.0]), sched, TRAJ, PARAMS)
 
 
+class TestSweepEngine:
+    """The sweep walks the schedule once; every point must agree with its own
+    closed-form run."""
+
+    @staticmethod
+    def _per_point(grid, sched, traj, params):
+        return np.array([
+            simulate_run(sched, traj, FieldConfig(magnitude=e), params).p1
+            for e in grid
+        ])
+
+    def test_phi10_matches_per_point_runs(self):
+        sched = build_echo_schedule(7, FREQ, optimal_readout_lag(10.0))
+        grid = np.linspace(0.0, E0_PHI10, 201)
+        sweep = sweep_signal(grid, sched, TRAJ, PARAMS)
+        np.testing.assert_allclose(
+            sweep.p1, self._per_point(grid, sched, TRAJ, PARAMS_IDEAL),
+            rtol=0.0, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            sweep.p1_decohered, self._per_point(grid, sched, TRAJ, PARAMS),
+            rtol=0.0, atol=1e-12,
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        r=st.floats(min_value=1e-3, max_value=2e-2),
+        f=st.floats(min_value=1e3, max_value=5e3),
+        e0=st.floats(min_value=1e3, max_value=3e7),
+        n=st.integers(min_value=1, max_value=10),
+        lag=st.floats(min_value=0.0, max_value=math.pi),
+    )
+    def test_random_planar_configs_match_per_point_runs(self, r, f, e0, n, lag):
+        traj = station_trajectory(r, f)
+        sched = build_echo_schedule(n, f, lag)
+        grid = np.linspace(0.0, e0, 9)
+        sweep = sweep_signal(grid, sched, traj, PARAMS)
+        np.testing.assert_allclose(
+            sweep.p1, self._per_point(grid, sched, traj, PARAMS_IDEAL),
+            rtol=0.0, atol=1e-12,
+        )
+
+    def test_phase_column_is_the_scalar_formula_bit_for_bit(self):
+        sched = build_echo_schedule(7, FREQ, 0.3)
+        grid = np.linspace(0.0, E0_PHI10, 101)
+        sweep = sweep_signal(grid, sched, TRAJ, PARAMS)
+        scalar = [total_rectified_phase(RADIUS, e, 7, PARAMS.g) for e in grid]
+        assert sweep.phases.tolist() == scalar
+
+    def test_tilted_trajectory_rejected(self):
+        tilted = station_trajectory(RADIUS, FREQ, tilt=0.3)
+        sched = build_echo_schedule(7, FREQ)
+        with pytest.raises(NumericPreconditionError):
+            sweep_signal(np.linspace(0.0, 3e7, 5), sched, tilted, PARAMS)
+
+    def test_tilted_config_exits_3_through_the_cli(self, tmp_path):
+        cfg = tmp_path / "tilted.cfg"
+        cfg.write_text("tilt = 0.3\nn = 7\n")
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(cfg), "--grid", "5", "--out", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
+
+    def test_echo_check_residuals_stay_exactly_zero(self):
+        lag = optimal_readout_lag(10.0)
+        sched = build_echo_schedule(7, FREQ, lag)
+        field = FieldConfig(magnitude=E0_PHI10)
+        base = simulate_run(sched, TRAJ, field, PARAMS)
+        for detuning in ECHO_DETUNINGS:
+            run = simulate_run(sched, TRAJ, field, PARAMS, detuning_hz=detuning)
+            assert run.static_phase == 0.0
+            assert run.p1 == base.p1
+
+
 class TestFringeCrossingCounter:
     def test_simple_sine(self):
         x = np.linspace(0.0, 4.0 * math.pi, 400)
@@ -355,6 +430,12 @@ class TestStark:
 
     def test_degenerate_levels_rejected(self):
         params = NVParameters(B_z=0.0)
+        with pytest.raises(NumericPreconditionError):
+            stark_shift(3e7, params, StarkModel(R2E=20.0), f_disk=FREQ)
+
+    @pytest.mark.parametrize("g", [1e-300, 1e308])
+    def test_unrepresentable_zeeman_splitting_rejected(self, g):
+        params = NVParameters(g=g, B_z=1e-3)
         with pytest.raises(NumericPreconditionError):
             stark_shift(3e7, params, StarkModel(R2E=20.0), f_disk=FREQ)
 
