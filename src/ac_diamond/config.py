@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .sequence import integer_rotations
+from .sequence import MAX_ROTATIONS, integer_rotations
 
 AUTO_LAG = "auto"
 
@@ -21,10 +21,11 @@ AUTO_LAG = "auto"
 class ExperimentConfig:
     """Full parameter set for the CLI.  SI units per key:
 
-    r [m]; f [Hz]; E0 [V/m]; n [rotations, fractional allowed for the
-    closed-form phase]; T2 [s]; D [Hz]; g [-]; B_z [T]; R2E [Hz/(V/cm)];
-    tilt [rad]; lag [rad, or "auto" for the quadrature lag at E0];
-    alpha0, alpha1 [mean photons/shot]; N [ensemble centers]; seed [non-negative int].
+    r [m]; f [Hz]; E0 [V/m]; n [rotations, at most MAX_ROTATIONS = 10000,
+    fractional allowed for the closed-form phase]; T2 [s]; D [Hz]; g [-];
+    B_z [T]; R2E [Hz/(V/cm)]; tilt [rad]; lag [rad, or "auto" for the
+    quadrature lag at E0]; alpha0, alpha1 [mean photons/shot]; N [ensemble
+    centers]; seed [non-negative int].
     """
 
     r: float = 0.01
@@ -52,6 +53,10 @@ class ExperimentConfig:
         for key in non_negative:
             if getattr(self, key) < 0.0:
                 raise ConfigError(f"config key {key!r} must be non-negative")
+        if self.n > MAX_ROTATIONS:
+            raise ConfigError(
+                f"config key 'n' must be at most {MAX_ROTATIONS} rotations, got {self.n!r}"
+            )
         if not self.alpha0 > self.alpha1:
             raise ConfigError("config requires alpha0 > alpha1")
         if isinstance(self.lag, str) and self.lag != AUTO_LAG:

@@ -40,6 +40,9 @@ from .physics import (
     rotation_matrix,
 )
 
+MAX_ROTATIONS = 10_000  # a schedule holds 2n pi pulses and the walk 2n segments
+MAX_PHASE_ULP = 1e-6  # rad; coarsest phase spacing the closed form may pass to cos
+
 PUMP = "pump"
 HALF_PI = "half_pi"
 PI = "pi"
@@ -87,7 +90,10 @@ class EchoSchedule:
 
 
 def integer_rotations(n) -> int:
-    """The rotation count n as an int; schedules need a positive integer."""
+    """The rotation count n as an int; schedules need a positive integer of at
+    most ``MAX_ROTATIONS``."""
+    if float(n) > MAX_ROTATIONS:
+        raise ValueError(f"rotation count {n!r} exceeds the cap of {MAX_ROTATIONS}")
     n_int = int(round(float(n)))
     if abs(float(n) - n_int) > 1e-12 or n_int < 1:
         raise ValueError(
@@ -277,9 +283,20 @@ def _closed_form_walk(schedule, traj, field, params, detuning_hz, constants):
 
 def _echo_p1(scale, walk, coherence):
     """1/2*(1 + coherence*cos(scale*phi + static_phase + final_phase)) for a
-    walk (phi, static_phase, final_phase); ``scale`` may be a numpy array."""
+    walk (phi, static_phase, final_phase); ``scale`` may be a numpy array.
+
+    Refuses total phases whose float spacing exceeds ``MAX_PHASE_ULP`` (about
+    8.6e9 rad and beyond), where cos would return rounding noise.
+    """
     phi, static_phase, final_phase = walk
-    return 0.5 * (1.0 + coherence * np.cos(scale * phi + static_phase + final_phase))
+    total = scale * phi + static_phase + final_phase
+    largest = float(np.max(np.abs(total)))
+    if not math.ulp(largest) <= MAX_PHASE_ULP:  # also refuses inf and NaN
+        raise NumericPreconditionError(
+            f"closed-form phase {largest:.3g} rad is not resolved to "
+            f"{MAX_PHASE_ULP:g} rad"
+        )
+    return 0.5 * (1.0 + coherence * np.cos(total))
 
 
 def _run_oracle(
@@ -356,7 +373,7 @@ def sweep_signal(
     params: NVParameters,
     constants: PhysicalConstants = CODATA,
 ) -> SweepResult:
-    """Closed-form signal for each field magnitude on a monotone grid.
+    """Closed-form signal for each field magnitude on a strictly increasing grid.
 
     The rectified phase is linear in E, so the schedule is walked once at unit
     field and p1 follows for the whole grid in one array expression.  ``p1`` is
@@ -367,8 +384,12 @@ def sweep_signal(
     e_values = np.asarray(e_values, dtype=float)
     if e_values.size == 0:
         raise ValueError("sweep grid is empty")
-    if np.any(np.diff(e_values) < 0.0) or e_values[0] < 0.0:
-        raise ValueError("sweep grid must be monotone non-decreasing from E >= 0")
+    if not (np.all(np.diff(e_values) > 0.0) and e_values[0] >= 0.0):
+        # a repeated E makes the slope column divide by zero; through the CLI
+        # that means E0 too small to resolve the grid, hence exit 3
+        raise NumericPreconditionError(
+            "sweep grid must be strictly increasing from E >= 0"
+        )
     # T2 -> infinity, so coherence 1
     walk = _closed_form_walk(
         schedule, traj, FieldConfig(magnitude=1.0), params, 0.0, constants

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from ac_diamond import cli
 from ac_diamond.cli import CSV_VERSION, main
+from ac_diamond.sequence import MAX_ROTATIONS
 
 DEFAULT_CFG = "configs/default.cfg"
 PHI10_CFG = "configs/phi10.cfg"
@@ -188,25 +190,45 @@ def test_bad_flags_and_seeds_exit_2(argv, config_text, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, config_text",
+    "argv, config_text, codes",
     [
-        (["holonomy", "--steps", "16"], "r = 1e300\nn = 1\n"),
-        (["stark"], "g = 1e-300\n"),
-        (["sensitivity"], "alpha0 = 1e300\nalpha1 = 0\n"),
-        (["sensitivity"], "alpha0 = 5e-324\nalpha1 = 0\n"),
-        (["sensitivity"], "alpha0 = 1.7e308\nalpha1 = 1.6e308\n"),
-        (["sensitivity"], "alpha0 = 1e-160\nalpha1 = 0\nT2 = 1e-300\n"),
+        (["holonomy", "--steps", "16"], "r = 1e300\nn = 1\n", (0, 3)),
+        (["stark"], "g = 1e-300\n", (0, 3)),
+        (["sensitivity"], "alpha0 = 1e300\nalpha1 = 0\n", (0, 3)),
+        (["sensitivity"], "alpha0 = 5e-324\nalpha1 = 0\n", (0, 3)),
+        (["sensitivity"], "alpha0 = 1.7e308\nalpha1 = 1.6e308\n", (0, 3)),
+        (["sensitivity"], "alpha0 = 1e-160\nalpha1 = 0\nT2 = 1e-300\n", (0, 3)),
+        # closed-form phases ~2e302 rad, far beyond what cos resolves
+        (["sweep"], "r = 1e300\nn = 1\n", (3,)),
+        (["echo-check"], "r = 1e300\nn = 1\n", (3,)),
+        (["montecarlo"], "r = 1e300\nn = 1\n", (3,)),
+        # linspace(0, 5e-324, 201) repeats field values
+        (["sweep"], "E0 = 5e-324\nn = 7\n", (3,)),
     ],
     ids=["holonomy-huge-radius", "stark-tiny-g", "sensitivity-huge-counts",
          "sensitivity-tiny-counts", "sensitivity-overflowing-sum",
-         "sensitivity-overflowing-time"],
+         "sensitivity-overflowing-time", "sweep-huge-radius",
+         "echo-check-huge-radius", "montecarlo-huge-radius",
+         "sweep-unresolvable-grid"],
 )
-def test_extreme_values_exit_0_or_3(argv, config_text, tmp_path, capsys):
+def test_extreme_values_exit_0_or_3(argv, config_text, codes, tmp_path, capsys):
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(config_text)
     code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
-    assert code in (0, 3)
+    assert code in codes
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "montecarlo", "echo-check", "phase"])
+def test_rotation_count_above_cap_exits_2(command, tmp_path, monkeypatch, capsys):
+    def no_schedule(*args, **kwargs):
+        raise AssertionError("schedule built for a rotation count above the cap")
+
+    monkeypatch.setattr(cli, "build_echo_schedule", no_schedule)
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(f"n = {MAX_ROTATIONS + 1}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "'n' must be at most" in capsys.readouterr().err
 
 
 def test_csv_floats_are_full_precision(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from ac_diamond.config import AUTO_LAG, ExperimentConfig, load_config
 from ac_diamond.errors import ConfigError
+from ac_diamond.sequence import MAX_ROTATIONS
 
 
 def write(tmp_path, text):
@@ -90,6 +91,12 @@ class TestConstraints:
         assert math.isclose(cfg.n, 7.2)
         with pytest.raises(ConfigError, match="'n'"):
             cfg.integer_rotations()
+
+    def test_rotation_count_cap(self):
+        assert ExperimentConfig(n=MAX_ROTATIONS).integer_rotations() == MAX_ROTATIONS
+        for n in (MAX_ROTATIONS + 1, math.nextafter(MAX_ROTATIONS, math.inf)):
+            with pytest.raises(ConfigError, match="'n' must be at most"):
+                ExperimentConfig(n=n)
 
 
 class TestShippedConfigs:

@@ -1,15 +1,20 @@
 """Tests for the path-ordered propagator, Dyson diagnostics, and the ODE oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ac_diamond.errors import NumericPreconditionError
 from ac_diamond.geometry import FieldConfig, station_trajectory, velocity
 from ac_diamond.holonomy import (
+    _CHUNK_STEPS,
     PathSampling,
     Propagator,
     _generator_grid,
+    _ordered_product,
     _quadratic_diagonal_shift,
+    _step_unitaries,
     dyson_second_order,
     effective_hamiltonian_evolve,
     path_ordered_propagator,
@@ -22,6 +27,7 @@ PARAMS = NVParameters()
 RADIUS, FREQ = 0.01, 4000.0
 HALF = 1.0 / (2.0 * FREQ)
 PLANAR = station_trajectory(RADIUS, FREQ)
+TILTED = station_trajectory(RADIUS, FREQ, tilt=0.3)
 FIELD = FieldConfig(magnitude=3e7)
 
 
@@ -155,6 +161,56 @@ class TestPathOrderedPropagator:
     def test_nonunitary_matrix_rejected(self):
         with pytest.raises(ValueError):
             Propagator(U=np.diag([1.0, 1.0, 2.0]).astype(complex), dimension=3)
+
+
+class TestStreamingStepper:
+    """The stepper walks the grid in blocks of _CHUNK_STEPS steps; the result
+    must be the whole-grid ordered product of the same step exponentials."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("traj", [PLANAR, TILTED], ids=["planar", "tilted"])
+    @pytest.mark.parametrize(
+        "steps",
+        [1, _CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 1, 3 * _CHUNK_STEPS + 5],
+    )
+    def test_matches_unchunked_product(self, steps, traj, reverse):
+        # 0.1 rad of coupling per rotation: even one step over 0.6 rotations
+        # passes the step-resolution bound
+        samp = sampling(steps, t1=0.6 / FREQ, traj=traj, field=scaled_field(traj))
+        gens, dt = _generator_grid(samp, PARAMS, 3, CODATA)
+        stack = _step_unitaries(gens, dt)
+        expected = _ordered_product(stack[::-1] if reverse else stack)
+        prop = path_ordered_propagator(samp, PARAMS, reverse=reverse)
+        assert np.max(np.abs(prop.U - expected)) < 1e-13
+
+    def test_planar_forward_and_reverse_are_bitwise_equal(self):
+        samp = sampling(3 * _CHUNK_STEPS + 5)
+        fwd = path_ordered_propagator(samp, PARAMS)
+        rev = path_ordered_propagator(samp, PARAMS, reverse=True)
+        assert np.array_equal(fwd.U, rev.U)
+        assert fwd.offdiagonal_norm() == 0.0
+
+    def test_planar_path_never_diagonalises(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called for commuting generators")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        prop = path_ordered_propagator(sampling(3 * _CHUNK_STEPS + 5), PARAMS)
+        assert prop.offdiagonal_norm() == 0.0
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        field = scaled_field(TILTED)
+
+        def peak_bytes(steps):
+            samp = sampling(steps, t1=1.0 / FREQ, traj=TILTED, field=field)
+            tracemalloc.start()
+            try:
+                path_ordered_propagator(samp, PARAMS)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(32 * _CHUNK_STEPS) < 2.0 * peak_bytes(4 * _CHUNK_STEPS)
 
 
 class TestDysonSecondOrder:

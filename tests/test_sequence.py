@@ -14,11 +14,13 @@ from ac_diamond.geometry import DiskTrajectory, FieldConfig, station_trajectory
 from ac_diamond.phase import total_rectified_phase
 from ac_diamond.physics import NVParameters
 from ac_diamond.sequence import (
+    MAX_ROTATIONS,
     EchoSchedule,
     PulseEvent,
     StarkModel,
     build_echo_schedule,
     fringe_zero_crossings,
+    integer_rotations,
     odd_pulse_schedule,
     optimal_readout_lag,
     signal_probability,
@@ -26,6 +28,7 @@ from ac_diamond.sequence import (
     stark_shift,
     strip_pi_pulses,
     sweep_signal,
+    _echo_p1,
 )
 
 FREQ = 4000.0
@@ -324,6 +327,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_signal(np.array([0.0, 2.0, 1.0]), sched, TRAJ, PARAMS)
 
+    @pytest.mark.parametrize(
+        "grid", [np.zeros(5), np.array([0.0, 1e6, 1e6, 2e6])],
+        ids=["all-zero", "one-repeat"],
+    )
+    def test_repeated_field_values_rejected(self, grid):
+        # the slope column would divide by a zero grid step
+        sched = build_echo_schedule(7, FREQ)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep_signal(grid, sched, TRAJ, PARAMS)
+
 
 class TestSweepEngine:
     """The sweep walks the schedule once; every point must agree with its own
@@ -388,6 +401,14 @@ class TestSweepEngine:
         assert main(argv) == 3
         assert not out.exists()
 
+    def test_phases_cos_cannot_resolve_are_rejected(self):
+        walk = (1.0, 0.0, 0.0)
+        # below 2**33 rad the float spacing is 2**-20 rad, within 1e-6 rad
+        assert 0.0 <= _echo_p1(2.0**33 - 1.0, walk, 1.0) <= 1.0
+        for scale in (2.0**33, np.array([0.0, np.inf]), np.array([np.nan])):
+            with pytest.raises(NumericPreconditionError, match="not resolved"):
+                _echo_p1(scale, walk, 1.0)
+
     def test_echo_check_residuals_stay_exactly_zero(self):
         lag = optimal_readout_lag(10.0)
         sched = build_echo_schedule(7, FREQ, lag)
@@ -447,3 +468,30 @@ class TestStark:
             sched, TRAJ, FIELD, PARAMS, detuning_hz=report.shift_hz
         ).p1
         assert abs(base - shifted) < 1e-9
+
+
+class TestRotationCap:
+    def test_schedule_refuses_counts_above_the_cap(self):
+        assert integer_rotations(MAX_ROTATIONS) == MAX_ROTATIONS
+        with pytest.raises(ValueError, match="cap"):
+            integer_rotations(MAX_ROTATIONS + 1)
+        with pytest.raises(ValueError, match="cap"):
+            build_echo_schedule(MAX_ROTATIONS + 1, FREQ)
+
+
+class TestTiltedOracle:
+    def test_norm_holds_and_p1_converges_to_second_order(self):
+        # at 1e4 steps per interval this run used to end in "state is not
+        # normalized: |psi|^2 = 1.0000000000010152"
+        sched = build_echo_schedule(4, 4000.0, 1.0)
+        traj = station_trajectory(0.01, 4000.0, tilt=0.5)
+        field = FieldConfig(magnitude=2e7)
+
+        def p1(steps):
+            return simulate_run(
+                sched, traj, field, NVParameters(), mode="oracle",
+                steps_per_interval=steps,
+            ).p1
+
+        coarse, mid, fine = p1(5000), p1(10000), p1(20000)
+        assert (coarse - mid) / (mid - fine) == pytest.approx(4.0, rel=0.05)
