@@ -2,7 +2,8 @@
 
 Every subcommand is deterministic given (config, seed): identical invocations
 produce byte-identical CSV.  Exit codes: 0 success, 2 configuration error,
-3 numeric precondition violation, 1 I/O failure.
+3 numeric precondition violation (including a floating-point overflow or
+invalid operation), 1 I/O failure.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def _cmd_holonomy(args) -> int:
         fwd = path_ordered_propagator(
             PathSampling(0.0, 2.0 * half, steps, tilted, field), params
         )
-        rev = path_ordered_propagator(
+        # planar steps commute, so the reverse-ordered product is fwd bit for bit
+        rev = fwd if tilted is planar else path_ordered_propagator(
             PathSampling(0.0, 2.0 * half, steps, tilted, field), params, reverse=True
         )
         worst_unitarity = max(
@@ -315,11 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a float overflow, 0/0 or x/0 is a numeric precondition violation
+        # (exit 3), not a warning printed before inf/NaN output
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericPreconditionError as exc:
+    except (NumericPreconditionError, FloatingPointError) as exc:
         print(f"numeric precondition violated: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -19,9 +19,12 @@ propagator exactly and show nothing.
 
 The propagator and the state oracle share one stepper,
 :func:`_stream_product`.  It walks the midpoint grid in blocks of
-``_CHUNK_STEPS`` steps, so memory does not grow with the step count, and while
-every generator is exactly diagonal it sums phases instead of exponentiating
-and multiplying matrices.
+``_CHUNK_STEPS`` steps, so memory does not grow with the step count.  While
+every coupling axis k*(E x v) lies exactly along z (planar motion) it works
+on the (N, 3) axes alone: G = a_z*Sz, so it bounds the step by |a_z|*max|m|
+and sums a_z, and never builds a (N, dim, dim) generator stack, exponentiates
+or multiplies matrices.  For planar motion the forward and reverse products
+are therefore bitwise equal.
 """
 
 from __future__ import annotations
@@ -124,6 +127,38 @@ def _quadratic_diagonal_shift(e_vec, ops, params, mass, constants) -> np.ndarray
     return np.real(np.diag(full))
 
 
+def _coupling_axes(
+    sampling: PathSampling,
+    params: NVParameters,
+    constants: PhysicalConstants,
+    start: int = 0,
+    stop: int | None = None,
+) -> np.ndarray:
+    """Coupling axes k*(E x v) [rad/s] at the midpoints of steps start..stop-1
+    (default: all) as an (N, 3) array, so that G = axes . S."""
+    traj, cfg = sampling.trajectory, sampling.field
+    t_mid = sampling.midpoints(start, stop)
+    e_vec = cfg.magnitude * cfg.direction
+    v = velocity(traj, t_mid)                      # (N, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        axes = coupling_constant(params, constants) * np.cross(
+            np.broadcast_to(e_vec, v.shape), v
+        )
+    if not np.all(np.isfinite(axes)):
+        raise NumericPreconditionError(
+            "coupling axis k*(E x v) is not finite: field or velocity too large"
+        )
+    return axes
+
+
+def _spin_generators(axes: np.ndarray, dimension: int) -> np.ndarray:
+    """G = axes . S for each axis, as a (N, dim, dim) stack."""
+    # one complex matrix product, (N, 3) @ (3, dim*dim)
+    ops = spin_operators(dimension).vector().reshape(3, -1)
+    gens = axes.astype(complex) @ ops
+    return gens.reshape(-1, dimension, dimension)
+
+
 def _generator_grid(
     sampling: PathSampling,
     params: NVParameters,
@@ -134,26 +169,20 @@ def _generator_grid(
 ) -> tuple[np.ndarray, float]:
     """Midpoint-sampled generators of steps start..stop-1 (default: all) as a
     (steps, dim, dim) stack."""
-    traj, cfg = sampling.trajectory, sampling.field
-    t_mid = sampling.midpoints(start, stop)
-    e_vec = cfg.magnitude * cfg.direction
-    v = velocity(traj, t_mid)                      # (N, 3)
-    axes = coupling_constant(params, constants) * np.cross(
-        np.broadcast_to(e_vec, v.shape), v
-    )
-    # G = axes . S as one complex matrix product, (N, 3) @ (3, dim*dim)
-    ops = spin_operators(dimension).vector().reshape(3, -1)
-    gens = axes.astype(complex) @ ops
-    return gens.reshape(-1, dimension, dimension), sampling.dt
+    axes = _coupling_axes(sampling, params, constants, start, stop)
+    return _spin_generators(axes, dimension), sampling.dt
+
+
+def _check_step_bound(step_phase: float) -> None:
+    if not step_phase < MAX_STEP_PHASE:  # also refuses a NaN bound
+        raise NumericPreconditionError(
+            f"step too coarse: dt*max||G|| = {step_phase:.3g} rad, not below {MAX_STEP_PHASE}"
+        )
 
 
 def _check_step_resolution(gens: np.ndarray, dt: float) -> None:
     # ||G||_2 <= max-row-sum bound; cheap and tight enough for the 0.5 rad gate.
-    bound = float(np.max(np.sum(np.abs(gens), axis=-1)))
-    if not dt * bound < MAX_STEP_PHASE:  # also refuses a NaN bound
-        raise NumericPreconditionError(
-            f"step too coarse: dt*max||G|| = {dt * bound:.3g} rad, not below {MAX_STEP_PHASE}"
-        )
+    _check_step_bound(dt * float(np.max(np.sum(np.abs(gens), axis=-1))))
 
 
 def _step_unitaries(gens: np.ndarray, dt: float) -> np.ndarray:
@@ -186,31 +215,37 @@ def _stream_product(
     """Ordered product of the midpoint step exponentials of G(t) + diag(const_diag),
     walked in blocks of ``_CHUNK_STEPS`` steps.
 
-    While every generator seen so far is exactly diagonal the steps commute,
-    and their product collapses exactly to one exponential of the summed
-    phases; this keeps the result diagonal and at unit modulus and never
-    diagonalises a step.  From the first block with a nonzero off-diagonal
-    entry on, each block's step exponentials are multiplied out and folded
-    into a running product, in path order or (``reverse``) anti-path order.
-    The per-step rotation bound applies to the motional coupling; the constant
-    diagonal rates are exponentiated exactly at any step size while diagonal,
-    and join the bound check once they enter the step exponentials.
+    While every coupling axis seen so far lies exactly along z, every G is
+    a_z*Sz (``spin_operators`` keeps Sx and Sy zero on the diagonal), the steps
+    commute, and their product collapses exactly to one exponential of the
+    summed phases m*sum(a_z)*dt; this works on the (N, 3) axes alone, keeps the
+    result diagonal and at unit modulus, and never builds or diagonalises a
+    step.  From the first block with a nonzero x or y component on, each
+    block's step exponentials are multiplied out and folded into a running
+    product, in path order or (``reverse``) anti-path order.  The per-step
+    rotation bound applies to the motional coupling; the constant diagonal
+    rates are exponentiated exactly at any step size while diagonal, and join
+    the bound check once they enter the step exponentials.
     """
     dt = sampling.dt
-    off_diagonal = ~np.eye(dimension, dtype=bool)
-    motional = np.zeros(dimension)  # summed diagonal rates of the diagonal prefix
+    m = np.real(np.diag(spin_operators(dimension).Sz))
+    m_max = float(np.max(np.abs(m)))
+    rate_z = 0.0  # summed z axis components of the diagonal prefix
     product = None
     for start in range(0, sampling.steps, _CHUNK_STEPS):
         stop = min(start + _CHUNK_STEPS, sampling.steps)
-        gens, _ = _generator_grid(sampling, params, dimension, constants, start, stop)
-        _check_step_resolution(gens, dt)
-        if product is None and np.all(gens[:, off_diagonal] == 0.0):
-            # each level's rates as one contiguous row, which numpy sums pairwise
-            motional += np.ascontiguousarray(np.einsum("nii->in", gens).real).sum(axis=1)
+        axes = _coupling_axes(sampling, params, constants, start, stop)
+        if product is None and not np.any(axes[:, :2]):
+            # ||a_z*Sz|| = |a_z|*max|m|: the row-sum bound of the diagonal G
+            a_z = np.ascontiguousarray(axes[:, 2])  # one contiguous row, summed pairwise
+            _check_step_bound(dt * (float(np.max(np.abs(a_z))) * m_max))
+            rate_z += a_z.sum()
             continue
+        gens = _spin_generators(axes, dimension)
+        _check_step_resolution(gens, dt)
         if product is None:
             # the diagonal prefix of steps 0..start-1, collapsed exactly
-            product = np.diag(np.exp(-1j * (dt * motional + const_diag * (start * dt))))
+            product = np.diag(np.exp(-1j * (dt * (m * rate_z) + const_diag * (start * dt))))
         if np.any(const_diag):
             # the whole generator must satisfy the per-step rotation bound
             gens = gens + np.diag(const_diag)
@@ -222,7 +257,7 @@ def _stream_product(
             product = _ordered_product(steps) @ product
     if product is None:
         span = sampling.t_end - sampling.t_start
-        product = np.diag(np.exp(-1j * (dt * motional + const_diag * span)))
+        product = np.diag(np.exp(-1j * (dt * (m * rate_z) + const_diag * span)))
     return product
 
 

@@ -158,7 +158,10 @@ def monte_carlo_experiment(
     rng = np.random.default_rng(seed)
     in_state_1 = rng.random(shots) < run.p1
     means = np.where(in_state_1, model.alpha1, model.alpha0)
-    counts = rng.poisson(means)
+    try:
+        counts = rng.poisson(means)
+    except ValueError as exc:  # a mean beyond the sampler's int64 counts
+        raise NumericPreconditionError(f"photon count mean out of range: {exc}") from None
     p1_hat = (model.alpha0 - counts) / (model.alpha0 - model.alpha1)
     estimates = phi_bias + (p1_hat - run.p1) / slope
     per_shot_std = float(np.std(estimates, ddof=1)) if shots > 1 else 0.0

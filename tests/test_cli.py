@@ -1,10 +1,21 @@
 """CLI surface tests: subcommands, exit codes, CSV determinism."""
 
+import contextlib
+import io
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ac_diamond import cli
 from ac_diamond.cli import CSV_VERSION, main
+from ac_diamond.config import ExperimentConfig, load_config
+from ac_diamond.geometry import FieldConfig, station_trajectory
+from ac_diamond.holonomy import PathSampling, path_ordered_propagator
 from ac_diamond.sequence import MAX_ROTATIONS
 
 DEFAULT_CFG = "configs/default.cfg"
@@ -80,6 +91,49 @@ class TestHolonomy:
         # second-order convergence: each doubling divides the error by ~4
         assert errors[0] / errors[-1] == pytest.approx(16 * 16, rel=0.2)
         assert all(float(r[2]) < 1e-10 for r in rows)
+
+    @staticmethod
+    def counted_propagator(monkeypatch):
+        """Patch the CLI's propagator; returns the list of each call's ``reverse``."""
+        calls = []
+
+        def counted(sampling, params, **kwargs):
+            calls.append(kwargs.get("reverse", False))
+            return path_ordered_propagator(sampling, params, **kwargs)
+
+        monkeypatch.setattr(cli, "path_ordered_propagator", counted)
+        return calls
+
+    def test_planar_run_takes_no_reverse_product(self, tmp_path, monkeypatch):
+        calls = self.counted_propagator(monkeypatch)
+        out = tmp_path / "hol.csv"
+        assert main(["holonomy", "--config", PHI10_CFG, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 5
+        assert calls == [False] * 10  # the planar segment and the forward loop per rung
+        assert all(float(r[3]) == 0.0 for r in rows)
+
+    def test_tilted_run_takes_the_reverse_product(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "tilted.cfg"
+        cfg.write_text(Path(PHI10_CFG).read_text() + "tilt = 0.3\n")
+        calls = self.counted_propagator(monkeypatch)
+        out = tmp_path / "hol.csv"
+        assert main(["holonomy", "--config", str(cfg), "--steps", "2000",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(calls) == 3 * len(rows) == 15
+        assert calls.count(True) == len(rows)
+        loaded = load_config(cfg)
+        traj = station_trajectory(loaded.r, loaded.f, tilt=0.3)
+        field = FieldConfig(magnitude=loaded.E0)
+        params = cli._nv_params(loaded)
+        for row in rows:
+            samp = PathSampling(0.0, 2.0 * (1.0 / (2.0 * loaded.f)), int(row[0]),
+                                traj, field)
+            fwd = path_ordered_propagator(samp, params)
+            rev = path_ordered_propagator(samp, params, reverse=True)
+            assert float(row[3]) == float(np.linalg.norm(fwd.U - rev.U, 2))
+            assert float(row[3]) > 0.0
 
     def test_step_precondition_exit_code(self, capsys):
         assert main(["holonomy", "--steps", "1"]) == 3
@@ -204,12 +258,22 @@ def test_bad_flags_and_seeds_exit_2(argv, config_text, tmp_path, capsys):
         (["montecarlo"], "r = 1e300\nn = 1\n", (3,)),
         # linspace(0, 5e-324, 201) repeats field values
         (["sweep"], "E0 = 5e-324\nn = 7\n", (3,)),
+        # floating-point overflow or invalid operations: exit 3, no warning
+        (["holonomy", "--steps", "16"], "f = 5e-324\nn = 1\n", (3,)),  # period inf
+        (["sweep"], "r = 1.7976931348623157e308\nn = 1\n", (3,)),  # diameter inf
+        (["montecarlo"], "r = 1e303\nn = 2\n", (3,)),  # r*E overflows
+        (["sweep"], "E0 = 1e-213\nn = 7\n", (3,)),  # spacing^2 underflows
+        (["sweep"], "r = 1e-300\nE0 = 1e308\nn = 1\n", (3,)),  # spacing^2 overflows
+        # a mean count beyond the Poisson sampler's int64 range
+        (["montecarlo"], "alpha0 = 1e30\nn = 2\n", (3,)),
     ],
     ids=["holonomy-huge-radius", "stark-tiny-g", "sensitivity-huge-counts",
          "sensitivity-tiny-counts", "sensitivity-overflowing-sum",
          "sensitivity-overflowing-time", "sweep-huge-radius",
          "echo-check-huge-radius", "montecarlo-huge-radius",
-         "sweep-unresolvable-grid"],
+         "sweep-unresolvable-grid", "holonomy-tiny-frequency", "sweep-max-radius",
+         "montecarlo-overflowing-phase", "sweep-underflowing-spacing",
+         "sweep-overflowing-spacing", "montecarlo-huge-counts"],
 )
 def test_extreme_values_exit_0_or_3(argv, config_text, codes, tmp_path, capsys):
     cfg = tmp_path / "extreme.cfg"
@@ -239,3 +303,66 @@ def test_csv_floats_are_full_precision(tmp_path):
     assert np.all((values >= 0.0) & (values <= 1.0))
     # round-trippable formatting: 17 significant digits
     assert any("." in r[2] and len(r[2]) > 10 for r in rows)
+
+
+# Config values: each key's default (or a typical value) times a scale that is
+# mostly ordinary and sometimes extreme, zero or negative; or a junk token.
+_TYPICAL = {**vars(ExperimentConfig()), "tilt": 0.3, "lag": 2.0}
+_SCALES = st.one_of(
+    st.floats(min_value=0.5, max_value=2.0),
+    st.sampled_from([0.0, -1.0, 1e-300, 1e-12, 1e12, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_KEYS = [f.name for f in fields(ExperimentConfig) if f.name not in ("n", "seed")]
+_JUNK = st.sampled_from(["auto", "x", "nan", "inf", "", "5e-324", "1e999", "1.7976931348623157e308"])
+_VALUE_LINES = st.dictionaries(st.sampled_from(_KEYS), _SCALES, max_size=4).map(
+    lambda scales: [f"{key} = {_TYPICAL[key] * scale!r}" for key, scale in scales.items()])
+_BAD_LINES = st.one_of(
+    st.just([]),
+    st.tuples(st.sampled_from(_KEYS), _JUNK).map(lambda kv: [" = ".join(kv)]),
+    st.sampled_from(["seed = -1", "seed = 3", "seed = 1.5", "bogus = 1", "no equals"]).map(
+        lambda line: [line]),
+)
+_ROTATIONS = st.one_of(
+    st.sampled_from(["n = 1\n", "n = 2\n", "n = 7\n"]),
+    st.sampled_from(["", "n = 0\n", "n = 7.5\n", "n = 10001\n", "n = -1\n"]),
+)
+_FLAG_VALUES = st.one_of(
+    st.integers(min_value=16, max_value=1024).map(str),
+    st.integers(min_value=-2, max_value=16).map(str),
+    st.sampled_from(["x", "1.5", ""]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["phase", "sweep", "holonomy", "sensitivity",
+                             "montecarlo", "stark", "echo-check"]),
+    lines=st.tuples(_VALUE_LINES, _BAD_LINES).map(lambda pair: pair[0] + pair[1]),
+    n=_ROTATIONS,
+    steps=_FLAG_VALUES,
+    grid=_FLAG_VALUES,
+    seed=st.one_of(st.none(), st.integers(min_value=-2, max_value=2**64).map(str)),
+)
+def test_fuzzed_config_and_flags_exit_0_2_or_3(command, lines, n, steps, grid, seed):
+    # n <= 7, --steps <= 1024 and --grid <= 1024 keep each run to milliseconds;
+    # every run is in-process
+    text = n + "".join(line + "\n" for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg), "--out", str(Path(tmp) / "out.csv")]
+        if command == "holonomy":
+            argv += ["--steps", steps]
+        if command == "sweep":
+            argv += ["--grid", grid]
+        if seed is not None:
+            argv += ["--seed", seed]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a malformed flag
+                code = exc.code
+    assert code in (0, 2, 3), (argv, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -5,15 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ac_diamond import holonomy
 from ac_diamond.errors import NumericPreconditionError
 from ac_diamond.geometry import FieldConfig, station_trajectory, velocity
 from ac_diamond.holonomy import (
     _CHUNK_STEPS,
     PathSampling,
     Propagator,
+    _coupling_axes,
     _generator_grid,
+    _nearest_unitary,
     _ordered_product,
     _quadratic_diagonal_shift,
+    _spin_generators,
     _step_unitaries,
     dyson_second_order,
     effective_hamiltonian_evolve,
@@ -21,7 +25,13 @@ from ac_diamond.holonomy import (
     unitarity_defect,
 )
 from ac_diamond.phase import coupling_constant, segment_phase
-from ac_diamond.physics import CODATA, NVParameters, SpinState, spin_operators
+from ac_diamond.physics import (
+    CODATA,
+    NVParameters,
+    SpinState,
+    ground_state_hamiltonian,
+    spin_operators,
+)
 
 PARAMS = NVParameters()
 RADIUS, FREQ = 0.01, 4000.0
@@ -43,6 +53,14 @@ def scaled_field(traj, budget=0.1, steps=20001):
         np.linalg.norm(axis, axis=1), t
     )
     return FieldConfig(magnitude=budget / per_volt)
+
+
+def tipped_axes(*args, **kwargs):
+    """Coupling axes with x set to the smallest double: no step lies exactly
+    along z, while every bound and phase is the same to the last bit."""
+    axes = _coupling_axes(*args, **kwargs).copy()
+    axes[:, 0] = 5e-324
+    return axes
 
 
 def generators(samp, dimension=3):
@@ -191,12 +209,79 @@ class TestStreamingStepper:
         assert fwd.offdiagonal_norm() == 0.0
 
     def test_planar_path_never_diagonalises(self, monkeypatch):
-        def no_eigh(*args, **kwargs):
-            raise AssertionError("eigh called for commuting generators")
+        def refuse(*args, **kwargs):
+            raise AssertionError("generator stack built or diagonalised for planar motion")
 
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        prop = path_ordered_propagator(sampling(3 * _CHUNK_STEPS + 5), PARAMS)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(holonomy, "_generator_grid", refuse)
+        monkeypatch.setattr(holonomy, "_spin_generators", refuse)
+        samp = sampling(3 * _CHUNK_STEPS + 5)
+        prop = path_ordered_propagator(samp, PARAMS)
         assert prop.offdiagonal_norm() == 0.0
+        out = effective_hamiltonian_evolve(samp, PARAMS, SpinState.ground())
+        assert out.population(0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dimension", [3, 2], ids=["spin-1", "spin-half"])
+    @pytest.mark.parametrize(
+        "steps", [1, _CHUNK_STEPS - 1, _CHUNK_STEPS + 1, 3 * _CHUNK_STEPS + 5]
+    )
+    def test_planar_axes_path_equals_generator_stack_bitwise(self, steps, dimension):
+        # the diagonal product from the whole-grid (N, dim, dim) generator
+        # stack, its rates summed in the stepper's blocks
+        samp = sampling(steps, t1=0.6 / FREQ, field=scaled_field(PLANAR))
+        gens, dt = _generator_grid(samp, PARAMS, dimension, CODATA)
+        assert not np.any(gens - np.einsum("nii->ni", gens)[:, :, None] * np.eye(dimension))
+        rates = np.ascontiguousarray(np.einsum("nii->in", gens).real)
+        summed = np.zeros(dimension)
+        for start in range(0, steps, _CHUNK_STEPS):
+            summed += rates[:, start : start + _CHUNK_STEPS].sum(axis=1)
+
+        def reference(const_diag):
+            span = samp.t_end - samp.t_start
+            return np.diag(np.exp(-1j * (dt * summed + const_diag * span)))
+
+        prop = path_ordered_propagator(samp, PARAMS, dimension=dimension)
+        assert np.array_equal(prop.U, reference(np.zeros(dimension)))
+
+        if dimension == 3:
+            initial = SpinState(np.array([0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
+            out = effective_hamiltonian_evolve(samp, PARAMS, initial, detuning_hz=1e5)
+            static = np.real(np.diag(ground_state_hamiltonian(PARAMS, CODATA))) / CODATA.hbar
+            const_diag = static + np.array([0.0, 0.0, 2.0 * np.pi * 1e5])
+        else:
+            initial = SpinState(np.array([0.6, 0.8]))
+            out = effective_hamiltonian_evolve(samp, PARAMS, initial)
+            const_diag = np.zeros(2)
+        expected = _nearest_unitary(reference(const_diag)) @ initial.amplitudes
+        assert np.array_equal(out.amplitudes, expected)
+
+    def test_tiny_x_component_takes_the_general_path(self, monkeypatch):
+        eigh_calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            eigh_calls.append(1)
+            return eigh(*args, **kwargs)
+
+        samp = sampling(_CHUNK_STEPS + 1, t1=0.6 / FREQ, field=scaled_field(PLANAR))
+        axes = tipped_axes(samp, PARAMS, CODATA)
+        expected = _ordered_product(_step_unitaries(_spin_generators(axes, 3), samp.dt))
+        monkeypatch.setattr(holonomy, "_coupling_axes", tipped_axes)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        prop = path_ordered_propagator(samp, PARAMS)
+        assert len(eigh_calls) == 2  # one per block
+        assert np.max(np.abs(prop.U - expected)) < 1e-13
+
+    @pytest.mark.parametrize("dimension", [3, 2], ids=["spin-1", "spin-half"])
+    def test_coarse_planar_step_refused_alike_on_both_paths(self, monkeypatch, dimension):
+        samp = sampling(1)
+        with pytest.raises(NumericPreconditionError, match="step too coarse") as axes_path:
+            path_ordered_propagator(samp, PARAMS, dimension=dimension)
+
+        monkeypatch.setattr(holonomy, "_coupling_axes", tipped_axes)
+        with pytest.raises(NumericPreconditionError) as general_path:
+            path_ordered_propagator(samp, PARAMS, dimension=dimension)
+        assert str(general_path.value) == str(axes_path.value)
 
     def test_peak_memory_does_not_grow_with_steps(self):
         field = scaled_field(TILTED)
