@@ -6,8 +6,6 @@ from .errors import ConfigError, NumericPreconditionError
 from .geometry import (
     DiskTrajectory,
     FieldConfig,
-    PulseStations,
-    default_stations,
     position,
     station_trajectory,
     velocity,
@@ -36,11 +34,7 @@ from .phase import (
     total_rectified_phase,
 )
 from .physics import (
-    CODATA,
     NVParameters,
-    PhysicalConstants,
-    QubitRotation,
-    SpinOperators,
     SpinState,
     apply_rotation,
     ground_state_hamiltonian,
@@ -50,7 +44,6 @@ from .sequence import (
     EchoSchedule,
     PulseEvent,
     RunResult,
-    StarkModel,
     StarkReport,
     SweepResult,
     build_echo_schedule,

@@ -23,7 +23,6 @@ from .measurement import ReadoutModel, contrast, monte_carlo_experiment, sensiti
 from .phase import segment_phase, total_rectified_phase
 from .physics import NVParameters
 from .sequence import (
-    StarkModel,
     build_echo_schedule,
     fringe_zero_crossings,
     optimal_readout_lag,
@@ -77,8 +76,10 @@ def _echo_setup(args):
     """Config, standard echo schedule and station-aligned trajectory shared by
     the schedule-based subcommands."""
     cfg = _load(args)
-    schedule = build_echo_schedule(cfg.integer_rotations(), cfg.f, _resolved_lag(cfg))
+    n_int = cfg.integer_rotations()
+    # before the lag, so an unrepresentable r or f is refused by name
     traj = station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt)
+    schedule = build_echo_schedule(n_int, cfg.f, _resolved_lag(cfg))
     return cfg, schedule, traj
 
 
@@ -210,9 +211,7 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_stark(args) -> int:
     cfg = _load(args)
-    report = stark_shift(
-        cfg.E0, _nv_params(cfg), StarkModel(R2E=cfg.R2E), f_disk=cfg.f
-    )
+    report = stark_shift(cfg.E0, _nv_params(cfg), f_disk=cfg.f)
     print(f"Stark coupling R2E*E = {report.coupling_hz / 1e6:.4f} MHz")
     print(f"Zeeman splitting = {report.zeeman_splitting_hz / 1e6:.4f} MHz")
     print(f"adiabatic level shift = {report.shift_hz / 1e6:.4f} MHz")

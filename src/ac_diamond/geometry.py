@@ -1,12 +1,19 @@
-"""Disk trajectory, pulse-station geometry, and the plate field map."""
+"""Disk trajectory, the pulse-station angle, and the plate field map."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericPreconditionError
 from .physics import TWO_PI
+
+# Station A sits at (0, -r), station B antipodal at (0, +r).  Stations on the
+# y extremes maximize |Delta y| per half rotation, which is what makes the
+# rectified phase reach 4*g*mu_B*r*E*n/(hbar*c^2).
+STATION_A_ANGLE = -np.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -27,10 +34,22 @@ class DiskTrajectory:
             raise ValueError("disk radius must be positive")
         if self.frequency == 0.0:
             raise ValueError("rotation frequency must be nonzero")
-
-    @property
-    def period(self) -> float:
-        return 1.0 / abs(self.frequency)
+        # Python floats: an overflow gives inf here, never a numpy error
+        f, r = abs(float(self.frequency)), float(self.radius)
+        if not math.isfinite(1.0 / f):
+            raise NumericPreconditionError(
+                f"rotation frequency {self.frequency!r} Hz is too small: "
+                "the period 1/|f| is not finite"
+            )
+        if not math.isfinite(2.0 * r):
+            raise NumericPreconditionError(
+                f"disk radius {self.radius!r} m is too large: the diameter 2r is not finite"
+            )
+        if not math.isfinite(2.0 * math.pi * f * r):
+            raise NumericPreconditionError(
+                f"rim speed 2*pi*|f|*r of f = {self.frequency!r} Hz, "
+                f"r = {self.radius!r} m is not finite"
+            )
 
 
 def _tilt_matrix(tilt: float) -> np.ndarray:
@@ -81,34 +100,12 @@ class FieldConfig:
         object.__setattr__(self, "direction", direction)
 
 
-@dataclass(frozen=True)
-class PulseStations:
-    """Antipodal microwave-coil angles on the disk."""
-
-    angle_A: float
-    angle_B: float
-
-    def __post_init__(self):
-        gap = (self.angle_B - self.angle_A) % TWO_PI
-        if abs(gap - np.pi) > 1e-12:
-            raise ValueError("stations must be antipodal: angle_B = angle_A + pi")
-
-
-def default_stations() -> PulseStations:
-    """Stations on the y-axis extremes: A at (0, -r), B at (0, +r).
-
-    Antipodal pairs on the y extremes maximize |Delta y| per half rotation,
-    which is what makes the rectified phase reach 4*g*mu_B*r*E*n/(hbar*c^2).
-    """
-    return PulseStations(angle_A=-np.pi / 2.0, angle_B=np.pi / 2.0)
-
-
 def station_trajectory(radius: float, frequency: float, tilt: float = 0.0) -> DiskTrajectory:
     """Trajectory that sits at station A at t = 0, so station crossings happen
     exactly at multiples of the half period."""
     return DiskTrajectory(
         radius=radius,
         frequency=frequency,
-        initial_angle=default_stations().angle_A,
+        initial_angle=STATION_A_ANGLE,
         tilt=tilt,
     )

@@ -36,15 +36,7 @@ import numpy as np
 from .errors import NumericPreconditionError
 from .geometry import DiskTrajectory, FieldConfig, velocity
 from .phase import coupling_constant
-from .physics import (
-    CODATA,
-    NVParameters,
-    PhysicalConstants,
-    SpinState,
-    ground_state_hamiltonian,
-    spin_operators,
-    TWO_PI,
-)
+from .physics import C_LIGHT, HBAR, MU_B, TWO_PI, NVParameters, SpinState, spin_operators
 
 MAX_STEP_PHASE = 0.5  # rad; per-step rotation bound for the midpoint exponential
 _CHUNK_STEPS = 8192  # steps per streamed block; bounds the live (steps, dim, dim) stacks
@@ -111,26 +103,23 @@ for _i, _j, _k, _s in [
     _LEVI_CIVITA[_i, _j, _k] = _s
 
 
-def _quadratic_diagonal_shift(e_vec, ops, params, mass, constants) -> np.ndarray:
+def _quadratic_diagonal_shift(e_vec, ops, params, mass) -> np.ndarray:
     """Diagonal of (mu^2 E^2 - (mu S x E)^2)/(2 m c^4 hbar) in rad/s, mu = g*mu_B.
 
     These are the two quadratic-in-E Hamiltonian terms dropped from the
     coupling; only their level shifts (the echo-cancellable part) are kept.
     """
-    mu = params.g * constants.mu_B
-    sxe = np.einsum("ijk,jab,k->iab", _LEVI_CIVITA, ops.vector(), e_vec)
+    mu = params.g * MU_B
+    sxe = np.einsum("ijk,jab,k->iab", _LEVI_CIVITA, ops, e_vec)
     sq = np.einsum("iab,ibc->ac", sxe, sxe)
     e_sq = float(e_vec @ e_vec)
-    full = mu * mu * (e_sq * np.eye(ops.dimension) - sq) / (
-        2.0 * mass * constants.c**4 * constants.hbar
-    )
+    full = mu * mu * (e_sq * np.eye(ops.shape[1]) - sq) / (2.0 * mass * C_LIGHT**4 * HBAR)
     return np.real(np.diag(full))
 
 
 def _coupling_axes(
     sampling: PathSampling,
     params: NVParameters,
-    constants: PhysicalConstants,
     start: int = 0,
     stop: int | None = None,
 ) -> np.ndarray:
@@ -141,7 +130,7 @@ def _coupling_axes(
     e_vec = cfg.magnitude * cfg.direction
     v = velocity(traj, t_mid)                      # (N, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        axes = coupling_constant(params, constants) * np.cross(
+        axes = coupling_constant(params) * np.cross(
             np.broadcast_to(e_vec, v.shape), v
         )
     if not np.all(np.isfinite(axes)):
@@ -154,23 +143,9 @@ def _coupling_axes(
 def _spin_generators(axes: np.ndarray, dimension: int) -> np.ndarray:
     """G = axes . S for each axis, as a (N, dim, dim) stack."""
     # one complex matrix product, (N, 3) @ (3, dim*dim)
-    ops = spin_operators(dimension).vector().reshape(3, -1)
+    ops = spin_operators(dimension).reshape(3, -1)
     gens = axes.astype(complex) @ ops
     return gens.reshape(-1, dimension, dimension)
-
-
-def _generator_grid(
-    sampling: PathSampling,
-    params: NVParameters,
-    dimension: int,
-    constants: PhysicalConstants,
-    start: int = 0,
-    stop: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Midpoint-sampled generators of steps start..stop-1 (default: all) as a
-    (steps, dim, dim) stack."""
-    axes = _coupling_axes(sampling, params, constants, start, stop)
-    return _spin_generators(axes, dimension), sampling.dt
 
 
 def _check_step_bound(step_phase: float) -> None:
@@ -208,7 +183,6 @@ def _stream_product(
     sampling: PathSampling,
     params: NVParameters,
     dimension: int,
-    constants: PhysicalConstants,
     const_diag: np.ndarray,
     reverse: bool,
 ) -> np.ndarray:
@@ -228,13 +202,13 @@ def _stream_product(
     the bound check once they enter the step exponentials.
     """
     dt = sampling.dt
-    m = np.real(np.diag(spin_operators(dimension).Sz))
+    m = np.real(np.diag(spin_operators(dimension)[2]))
     m_max = float(np.max(np.abs(m)))
     rate_z = 0.0  # summed z axis components of the diagonal prefix
     product = None
     for start in range(0, sampling.steps, _CHUNK_STEPS):
         stop = min(start + _CHUNK_STEPS, sampling.steps)
-        axes = _coupling_axes(sampling, params, constants, start, stop)
+        axes = _coupling_axes(sampling, params, start, stop)
         if product is None and not np.any(axes[:, :2]):
             # ||a_z*Sz|| = |a_z|*max|m|: the row-sum bound of the diagonal G
             a_z = np.ascontiguousarray(axes[:, 2])  # one contiguous row, summed pairwise
@@ -265,7 +239,6 @@ def path_ordered_propagator(
     sampling: PathSampling,
     params: NVParameters,
     dimension: int = 3,
-    constants: PhysicalConstants = CODATA,
     reverse: bool = False,
 ) -> Propagator:
     """Path-ordered propagator over the sampled trajectory segment.
@@ -275,9 +248,7 @@ def path_ordered_propagator(
     changes nothing (the two results are bitwise equal); when tilted, forward
     minus reverse is twice the second-order Dyson term to leading order.
     """
-    U = _stream_product(
-        sampling, params, dimension, constants, np.zeros(dimension), reverse
-    )
+    U = _stream_product(sampling, params, dimension, np.zeros(dimension), reverse)
     return Propagator(U=U, dimension=dimension)
 
 
@@ -285,7 +256,6 @@ def dyson_second_order(
     sampling: PathSampling,
     params: NVParameters,
     dimension: int = 3,
-    constants: PhysicalConstants = CODATA,
 ) -> np.ndarray:
     """Ordered double integral (1/2) * iint_{t' < t} [G(t), G(t')] dt' dt.
 
@@ -294,7 +264,8 @@ def dyson_second_order(
     O2 = -(this term).  It vanishes identically for planar motion and scales
     quadratically in the field strength.
     """
-    gens, dt = _generator_grid(sampling, params, dimension, constants)
+    gens = _spin_generators(_coupling_axes(sampling, params), dimension)
+    dt = sampling.dt
     _check_step_resolution(gens, dt)
     cum = np.cumsum(gens, axis=0)
     prior = cum - gens  # sum of all strictly earlier generators
@@ -307,26 +278,21 @@ def effective_hamiltonian_evolve(
     sampling: PathSampling,
     params: NVParameters,
     initial: SpinState,
-    constants: PhysicalConstants = CODATA,
-    include_static: bool = True,
     detuning_hz: float = 0.0,
     quadratic_mass: float | None = None,
 ) -> SpinState:
-    """Integrate i*hbar d|psi>/dt = [H_s + hbar*G(t)] |psi> with midpoint steps.
+    """Integrate i d|psi>/dt = G(t) |psi> with midpoint steps.
 
-    Serves as the independent oracle for the echo-sequence engine.  In the
-    rotating frame (``include_static=False``) only the motional coupling acts;
-    ``detuning_hz`` adds an explicit residual precession of |1> against |0>.
+    Serves as the independent oracle for the echo-sequence engine.  It works in
+    the rotating frame of the static Hamiltonian, where only the motional
+    coupling acts; ``detuning_hz`` adds an explicit residual precession of |1>
+    against |0>.
     The state is advanced by the polar factor of the interval propagator, so
     its norm is preserved to rounding however many intervals it is carried
     through.
     """
     dimension = initial.amplitudes.size
     const_diag = np.zeros(dimension)
-    if include_static and dimension == 3:
-        const_diag = const_diag + np.real(
-            np.diag(ground_state_hamiltonian(params, constants))
-        ) / constants.hbar
     if detuning_hz != 0.0:
         if dimension != 3:
             raise ValueError("detuning bookkeeping is defined for spin-1 states")
@@ -337,9 +303,8 @@ def effective_hamiltonian_evolve(
             spin_operators(dimension),
             params,
             quadratic_mass,
-            constants,
         )
-    U = _stream_product(sampling, params, dimension, constants, const_diag, False)
+    U = _stream_product(sampling, params, dimension, const_diag, False)
     return SpinState(_nearest_unitary(U) @ initial.amplitudes)
 
 

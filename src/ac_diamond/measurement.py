@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericPreconditionError
 from .geometry import DiskTrajectory, FieldConfig
-from .physics import CODATA, NVParameters, PhysicalConstants
+from .physics import NVParameters
 from .sequence import EchoSchedule, simulate_run
 
 
@@ -131,7 +131,6 @@ def monte_carlo_experiment(
     model: ReadoutModel,
     shots: int,
     seed: int,
-    constants: PhysicalConstants = CODATA,
 ) -> PhaseEstimate:
     """Simulate ``shots`` projective readouts at the bias field and invert the
     local fringe slope to estimate the accumulated phase.
@@ -145,8 +144,7 @@ def monte_carlo_experiment(
     if shots < 1:
         raise ValueError("shots must be a positive integer")
     run = simulate_run(
-        schedule, traj, FieldConfig(magnitude=e_bias), params,
-        mode="closed_form", constants=constants,
+        schedule, traj, FieldConfig(magnitude=e_bias), params, mode="closed_form"
     )
     phi_bias = run.ac_phase
     # dp1/dphi at the bias point; the envelope multiplies the fringe amplitude.

@@ -13,14 +13,14 @@ import numpy as np
 
 from .errors import NumericPreconditionError
 from .geometry import DiskTrajectory, FieldConfig, position, velocity
-from .physics import CODATA, NVParameters, PhysicalConstants
+from .physics import C_LIGHT, HBAR, MU_B, NVParameters
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
-def coupling_constant(params: NVParameters, constants: PhysicalConstants = CODATA) -> float:
+def coupling_constant(params: NVParameters) -> float:
     """g*mu_B/(hbar*c^2) in rad per (V/m * m): the A-C phase per unit of E.dy."""
-    return params.g * constants.mu_B / (constants.hbar * constants.c**2)
+    return params.g * MU_B / (HBAR * C_LIGHT**2)
 
 
 def _require_planar(traj: DiskTrajectory, cfg: FieldConfig) -> None:
@@ -39,7 +39,6 @@ def phase_rate(
     traj: DiskTrajectory,
     cfg: FieldConfig,
     params: NVParameters,
-    constants: PhysicalConstants = CODATA,
 ):
     """Instantaneous A-C phase accumulation rate (rad/s) on the |1> amplitude.
 
@@ -49,7 +48,7 @@ def phase_rate(
     _require_planar(traj, cfg)
     e_vec = cfg.magnitude * cfg.direction
     k_cross_e = np.cross(Z_HAT, e_vec)
-    return coupling_constant(params, constants) * (velocity(traj, t) @ k_cross_e)
+    return coupling_constant(params) * (velocity(traj, t) @ k_cross_e)
 
 
 def segment_phase(
@@ -58,7 +57,6 @@ def segment_phase(
     traj: DiskTrajectory,
     cfg: FieldConfig,
     params: NVParameters,
-    constants: PhysicalConstants = CODATA,
 ) -> float:
     """A-C phase accumulated between t0 and t1.
 
@@ -69,7 +67,7 @@ def segment_phase(
     e_vec = cfg.magnitude * cfg.direction
     k_cross_e = np.cross(Z_HAT, e_vec)
     displacement = position(traj, t1) - position(traj, t0)
-    return float(coupling_constant(params, constants) * (displacement @ k_cross_e))
+    return float(coupling_constant(params) * (displacement @ k_cross_e))
 
 
 def total_rectified_phase(
@@ -77,13 +75,13 @@ def total_rectified_phase(
     e_field: float,
     n_rotations: float,
     g: float,
-    constants: PhysicalConstants = CODATA,
 ) -> float:
     """Total pi-pulse-rectified A-C phase 4*g*mu_B*r*E*n/(hbar*c^2).
 
     Fractional n is allowed for diagnostics; the closed form matches the echo
     simulation only at integer n (station-aligned readout).  Any argument may
-    be a numpy array; scalar arguments give a float.
+    be a numpy array; scalar arguments give a float.  A phase too large for a
+    float is refused.
     """
     if np.any(radius < 0.0):
         raise ValueError("radius must be non-negative")
@@ -91,6 +89,9 @@ def total_rectified_phase(
         raise ValueError("field magnitude must be non-negative")
     if np.any(n_rotations < 0.0):
         raise ValueError("rotation count must be non-negative")
-    return 4.0 * g * constants.mu_B * radius * e_field * n_rotations / (
-        constants.hbar * constants.c**2
-    )
+    phase = 4.0 * g * MU_B * radius * e_field * n_rotations / (HBAR * C_LIGHT**2)
+    if not np.all(np.isfinite(phase)):
+        raise NumericPreconditionError(
+            "total rectified A-C phase is not finite: g*r*E*n too large"
+        )
+    return phase

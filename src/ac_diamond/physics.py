@@ -1,4 +1,4 @@
-"""Physical constants, NV ground-state parameters, spin operators and qubit rotations.
+"""SI constants, NV ground-state parameters, the spin-matrix stack and qubit rotations.
 
 Basis convention used throughout the package: amplitude vectors and operator
 matrices are indexed by ascending magnetic quantum number, i.e. (|-1>, |0>, |+1>)
@@ -8,32 +8,17 @@ for spin-1 and (|-1/2>, |+1/2>) for spin-1/2.  The NV qubit lives on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI constants. ``h`` is exact in the 2019 SI; ``hbar`` is derived from it
-    so that h = 2*pi*hbar holds to rounding."""
-
-    h: float = 6.62607015e-34        # Planck constant, J*s
-    mu_B: float = 9.2740100783e-24   # Bohr magneton, J/T
-    c: float = 299792458.0           # speed of light, m/s
-    hbar: float = field(default=6.62607015e-34 / TWO_PI)
-
-    def __post_init__(self):
-        for name in ("h", "mu_B", "c", "hbar"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"constant {name} must be strictly positive")
-        if abs(self.h - TWO_PI * self.hbar) > 1e-12 * self.h:
-            raise ValueError("h and hbar are inconsistent (h != 2*pi*hbar)")
-
-
-CODATA = PhysicalConstants()
+# SI constants; h is exact in the 2019 SI and hbar is derived from it.
+H_PLANCK = 6.62607015e-34     # J*s
+HBAR = H_PLANCK / TWO_PI      # J*s
+MU_B = 9.2740100783e-24       # Bohr magneton, J/T
+C_LIGHT = 299792458.0         # speed of light, m/s
 
 
 @dataclass(frozen=True)
@@ -63,22 +48,9 @@ class NVParameters:
             raise ValueError("Stark coefficient R2E must be non-negative")
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    """Angular-momentum matrices Sx, Sy, Sz in units of hbar, ascending-m basis."""
-
-    dimension: int
-    Sx: np.ndarray
-    Sy: np.ndarray
-    Sz: np.ndarray
-
-    def vector(self) -> np.ndarray:
-        """Stacked (3, dim, dim) array (Sx, Sy, Sz) for vectorised contractions."""
-        return np.stack([self.Sx, self.Sy, self.Sz])
-
-
-def spin_operators(dimension: int) -> SpinOperators:
-    """Standard spin matrices for spin-1/2 (dimension=2) or spin-1 (dimension=3).
+def spin_operators(dimension: int) -> np.ndarray:
+    """Spin matrices (Sx, Sy, Sz) in units of hbar as a (3, dim, dim) stack,
+    for spin-1/2 (dimension=2) or spin-1 (dimension=3).
 
     Built from the ladder operators in the Sz eigenbasis ordered by ascending m,
     so Sz = diag(m) with m = -s..+s.
@@ -94,10 +66,7 @@ def spin_operators(dimension: int) -> SpinOperators:
         raising[k + 1, k] = np.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
     sx = (raising + raising.conj().T) / 2.0
     sy = (raising - raising.conj().T) / 2j
-    return SpinOperators(dimension=dimension, Sx=sx, Sy=sy, Sz=sz)
-
-
-SPIN_ONE = spin_operators(3)
+    return np.stack([sx, sy, sz])
 
 
 @dataclass(frozen=True)
@@ -126,45 +95,35 @@ class SpinState:
         return float(np.abs(self.amplitudes[idx]) ** 2)
 
 
-@dataclass(frozen=True)
-class QubitRotation:
-    """Rabi rotation by angle theta about the equatorial axis set by phase phi,
-    acting on the {|0>, |1>} subspace only."""
-
-    theta: float
-    phi: float = 0.0
-
-
-def rotation_matrix(rot: QubitRotation) -> np.ndarray:
-    """2x2 unitary of the rotation on the (|0>, |1>) pair."""
-    c = np.cos(rot.theta / 2.0)
-    s = np.sin(rot.theta / 2.0)
+def rotation_matrix(theta: float, phi: float) -> np.ndarray:
+    """2x2 unitary of the Rabi rotation by angle theta about the equatorial
+    axis set by phase phi, on the (|0>, |1>) pair."""
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
     return np.array(
         [
-            [c, -1j * np.exp(-1j * rot.phi) * s],
-            [-1j * np.exp(1j * rot.phi) * s, c],
+            [c, -1j * np.exp(-1j * phi) * s],
+            [-1j * np.exp(1j * phi) * s, c],
         ]
     )
 
 
-def apply_rotation(state: SpinState, rot: QubitRotation) -> SpinState:
+def apply_rotation(state: SpinState, theta: float, phi: float) -> SpinState:
     """Apply a qubit Rabi pulse; the |-1> amplitude is untouched."""
     amps = state.amplitudes.copy()
     if amps.size != 3:
         raise ValueError("qubit rotations act on spin-1 states")
-    amps[1:] = rotation_matrix(rot) @ amps[1:]
+    amps[1:] = rotation_matrix(theta, phi) @ amps[1:]
     return SpinState(amps)
 
 
-def ground_state_hamiltonian(
-    params: NVParameters, constants: PhysicalConstants = CODATA
-) -> np.ndarray:
+def ground_state_hamiltonian(params: NVParameters) -> np.ndarray:
     """NV ground-state spin Hamiltonian in joules, ascending-m basis.
 
     H = h*D*(Sz^2 - (2/3) I) + g*mu_B*B_z*Sz, which places |+-1> a spectroscopic
     splitting D above |0> at zero field and splits them linearly in B_z.
     """
-    sz = SPIN_ONE.Sz
-    zfs = constants.h * params.D * (sz @ sz - (2.0 / 3.0) * np.eye(3))
-    zeeman = params.g * constants.mu_B * params.B_z * sz
+    sz = spin_operators(3)[2]
+    zfs = H_PLANCK * params.D * (sz @ sz - (2.0 / 3.0) * np.eye(3))
+    zeeman = params.g * MU_B * params.B_z * sz
     return zfs + zeeman

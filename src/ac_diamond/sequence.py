@@ -26,18 +26,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericPreconditionError
-from .geometry import DiskTrajectory, FieldConfig, default_stations
+from .geometry import STATION_A_ANGLE, DiskTrajectory, FieldConfig
 from .holonomy import PathSampling, effective_hamiltonian_evolve
 from .phase import segment_phase, total_rectified_phase
 from .physics import (
-    CODATA,
-    NVParameters,
-    PhysicalConstants,
-    QubitRotation,
-    SpinState,
-    TWO_PI,
-    apply_rotation,
-    rotation_matrix,
+    H_PLANCK, MU_B, TWO_PI, NVParameters, SpinState, apply_rotation, rotation_matrix,
 )
 
 MAX_ROTATIONS = 10_000  # a schedule holds 2n pi pulses and the walk 2n segments
@@ -188,7 +181,7 @@ def optimal_readout_lag(phi_max: float) -> float:
 def _validate_run_inputs(schedule: EchoSchedule, traj: DiskTrajectory) -> None:
     if abs(traj.frequency - schedule.frequency) > 1e-9 * abs(schedule.frequency):
         raise ValueError("trajectory and schedule disagree on rotation frequency")
-    offset = (traj.initial_angle - default_stations().angle_A) % TWO_PI
+    offset = (traj.initial_angle - STATION_A_ANGLE) % TWO_PI
     if min(offset, TWO_PI - offset) > 1e-9:
         raise ValueError(
             "trajectory must start at station A so pulses land on station crossings"
@@ -206,7 +199,6 @@ def simulate_run(
     mode: str = "closed_form",
     detuning_hz: float = 0.0,
     steps_per_interval: int = 20000,
-    constants: PhysicalConstants = CODATA,
     quadratic_mass: float | None = None,
 ) -> RunResult:
     """Evolve one echo run and read out the |1> population.
@@ -220,7 +212,7 @@ def simulate_run(
     if mode not in ("closed_form", "oracle"):
         raise ValueError(f"unknown simulation mode {mode!r}")
     if mode == "closed_form":
-        walk = _closed_form_walk(schedule, traj, field, params, detuning_hz, constants)
+        walk = _closed_form_walk(schedule, traj, field, params, detuning_hz)
         coherence = math.exp(-schedule.duration / params.T2)
         return RunResult(
             p1=float(_echo_p1(1.0, walk, coherence)),
@@ -230,12 +222,11 @@ def simulate_run(
         )
     _validate_run_inputs(schedule, traj)
     return _run_oracle(
-        schedule, traj, field, params, detuning_hz, steps_per_interval,
-        constants, quadratic_mass,
+        schedule, traj, field, params, detuning_hz, steps_per_interval, quadratic_mass
     )
 
 
-def _closed_form_walk(schedule, traj, field, params, detuning_hz, constants):
+def _closed_form_walk(schedule, traj, field, params, detuning_hz):
     """Walk the pulse schedule once and return (phi, static_phase, final_phase).
 
     phi sums the per-interval A-C segment phases at ``field``, flipping the
@@ -255,7 +246,7 @@ def _closed_form_walk(schedule, traj, field, params, detuning_hz, constants):
     final_phase = 0.0
     for ev in schedule.events:
         if ev.time > cursor:
-            d_ac = segment_phase(cursor, ev.time, traj, field, params, constants)
+            d_ac = segment_phase(cursor, ev.time, traj, field, params)
             spans = (ev.time - cursor) / half
             ticks = round(spans)
             if detuning_hz != 0.0 and abs(spans - ticks) > 1e-9:
@@ -300,8 +291,7 @@ def _echo_p1(scale, walk, coherence):
 
 
 def _run_oracle(
-    schedule, traj, field, params, detuning_hz, steps_per_interval, constants,
-    quadratic_mass,
+    schedule, traj, field, params, detuning_hz, steps_per_interval, quadratic_mass
 ):
     state = SpinState.ground()
     cursor = 0.0
@@ -321,8 +311,6 @@ def _run_oracle(
                 sampling,
                 params,
                 state,
-                constants,
-                include_static=False,
                 detuning_hz=detuning_hz,
                 quadratic_mass=quadratic_mass,
             )
@@ -330,9 +318,9 @@ def _run_oracle(
         if ev.kind == PUMP:
             state = SpinState.ground()
         elif ev.kind == PI:
-            state = apply_rotation(state, QubitRotation(math.pi, ev.phase))
+            state = apply_rotation(state, math.pi, ev.phase)
         elif ev.kind == HALF_PI and ev.time == 0.0:
-            state = apply_rotation(state, QubitRotation(math.pi / 2.0, ev.phase))
+            state = apply_rotation(state, math.pi / 2.0, ev.phase)
         elif ev.kind == HALF_PI:
             # Dephasing damps the qubit coherence accumulated over the run,
             # so it is applied to the density matrix before the readout pulse.
@@ -342,7 +330,7 @@ def _run_oracle(
             rho[1, 2] *= coherence
             rho[2, 1] *= coherence
             gate = np.eye(3, dtype=complex)
-            gate[1:, 1:] = rotation_matrix(QubitRotation(math.pi / 2.0, ev.phase))
+            gate[1:, 1:] = rotation_matrix(math.pi / 2.0, ev.phase)
             rho = gate @ rho @ gate.conj().T
     if rho is None:
         raise ValueError("schedule has no readout pulse")
@@ -371,7 +359,6 @@ def sweep_signal(
     schedule: EchoSchedule,
     traj: DiskTrajectory,
     params: NVParameters,
-    constants: PhysicalConstants = CODATA,
 ) -> SweepResult:
     """Closed-form signal for each field magnitude on a strictly increasing grid.
 
@@ -392,12 +379,12 @@ def sweep_signal(
         )
     # T2 -> infinity, so coherence 1
     walk = _closed_form_walk(
-        schedule, traj, FieldConfig(magnitude=1.0), params, 0.0, constants
+        schedule, traj, FieldConfig(magnitude=1.0), params, 0.0
     )
     p1 = _echo_p1(e_values, walk, 1.0)
     _require_population(p1)
     phases = total_rectified_phase(
-        traj.radius, e_values, schedule.n_rotations, params.g, constants
+        traj.radius, e_values, schedule.n_rotations, params.g
     )
     envelope = math.exp(-schedule.duration / params.T2)
     p1_decohered = 0.5 + envelope * (p1 - 0.5)
@@ -445,17 +432,6 @@ def fringe_zero_crossings(p1_values, snap_tol: float = 1e-10) -> int:
 
 
 @dataclass(frozen=True)
-class StarkModel:
-    """Ground-state linear Stark coupling between |−1> and |+1>."""
-
-    R2E: float
-
-    def __post_init__(self):
-        if self.R2E < 0.0:
-            raise ValueError("Stark coefficient R2E must be non-negative")
-
-
-@dataclass(frozen=True)
 class StarkReport:
     coupling_hz: float
     zeeman_splitting_hz: float
@@ -467,9 +443,7 @@ class StarkReport:
 def stark_shift(
     e_field_v_per_m: float,
     params: NVParameters,
-    stark: StarkModel,
     f_disk: float,
-    constants: PhysicalConstants = CODATA,
 ) -> StarkReport:
     """Adiabatic second-order level shift of the |+-1> pair, plus the check
     that the disk's Stark modulation (triple the rotation frequency) is slow
@@ -477,19 +451,26 @@ def stark_shift(
 
     The coupling is an ordinary frequency R2E * E with E in V/cm; the shift is
     coupling^2 / (Zeeman splitting frequency) and is removed by the pi pulses.
+    A shift too large for a float is refused.
     """
-    zeeman = 2.0 * params.g * constants.mu_B * params.B_z / constants.h
+    zeeman = 2.0 * params.g * MU_B * params.B_z / H_PLANCK
     if not 0.0 < zeeman < math.inf:
         raise NumericPreconditionError(
             f"Zeeman splitting {zeeman!r} Hz must be positive and finite: "
             "degenerate |+-1> levels have no adiabatic shift"
         )
-    coupling = stark.R2E * (e_field_v_per_m / 100.0)
+    coupling = params.R2E * (e_field_v_per_m / 100.0)
+    shift = coupling * coupling / zeeman  # Python floats: inf, not an error, on overflow
+    if not math.isfinite(shift):
+        raise NumericPreconditionError(
+            f"adiabatic level shift of R2E*E = {coupling!r} Hz over a Zeeman "
+            f"splitting of {zeeman!r} Hz is not finite"
+        )
     modulation = 3.0 * f_disk
     return StarkReport(
         coupling_hz=coupling,
         zeeman_splitting_hz=zeeman,
-        shift_hz=coupling * coupling / zeeman,
+        shift_hz=shift,
         modulation_hz=modulation,
         adiabatic=modulation < zeeman / 100.0,
     )

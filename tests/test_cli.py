@@ -266,6 +266,9 @@ def test_bad_flags_and_seeds_exit_2(argv, config_text, tmp_path, capsys):
         (["sweep"], "r = 1e-300\nE0 = 1e308\nn = 1\n", (3,)),  # spacing^2 overflows
         # a mean count beyond the Poisson sampler's int64 range
         (["montecarlo"], "alpha0 = 1e30\nn = 2\n", (3,)),
+        # Python-float products that overflow to inf without a numpy error
+        (["phase"], "r = 1e200\nE0 = 1e200\n", (3,)),
+        (["stark"], "E0 = 1e200\n", (3,)),
     ],
     ids=["holonomy-huge-radius", "stark-tiny-g", "sensitivity-huge-counts",
          "sensitivity-tiny-counts", "sensitivity-overflowing-sum",
@@ -273,7 +276,8 @@ def test_bad_flags_and_seeds_exit_2(argv, config_text, tmp_path, capsys):
          "echo-check-huge-radius", "montecarlo-huge-radius",
          "sweep-unresolvable-grid", "holonomy-tiny-frequency", "sweep-max-radius",
          "montecarlo-overflowing-phase", "sweep-underflowing-spacing",
-         "sweep-overflowing-spacing", "montecarlo-huge-counts"],
+         "sweep-overflowing-spacing", "montecarlo-huge-counts",
+         "phase-overflowing-phase", "stark-overflowing-shift"],
 )
 def test_extreme_values_exit_0_or_3(argv, config_text, codes, tmp_path, capsys):
     cfg = tmp_path / "extreme.cfg"
@@ -281,6 +285,23 @@ def test_extreme_values_exit_0_or_3(argv, config_text, codes, tmp_path, capsys):
     code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
     assert code in codes
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config_text, named",
+    [
+        (["holonomy", "--steps", "16"], "f = 5e-324\nn = 1\n", "rotation frequency 5e-324 Hz"),
+        (["sweep"], "r = 1.7976931348623157e308\nn = 1\n",
+         "disk radius 1.7976931348623157e+308 m"),
+    ],
+    ids=["holonomy-tiny-frequency", "sweep-max-radius"],
+)
+def test_unrepresentable_motion_message_names_the_input(argv, config_text, named,
+                                                        tmp_path, capsys):
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(config_text)
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 3
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "montecarlo", "echo-check", "phase"])

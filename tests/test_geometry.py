@@ -1,15 +1,17 @@
-"""Tests for the disk trajectory, field map, and station geometry."""
+"""Tests for the disk trajectory, field map, and station angle."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ac_diamond.errors import NumericPreconditionError
 from ac_diamond.geometry import (
+    STATION_A_ANGLE,
     DiskTrajectory,
     FieldConfig,
-    PulseStations,
-    default_stations,
     position,
     station_trajectory,
     velocity,
@@ -34,6 +36,20 @@ class TestPosition:
             DiskTrajectory(radius=0.0, frequency=1.0)
         with pytest.raises(ValueError):
             DiskTrajectory(radius=1.0, frequency=0.0)
+
+    @pytest.mark.parametrize(
+        "radius, frequency, named",
+        [
+            (1.0, 5e-324, "rotation frequency 5e-324 Hz"),  # period 1/|f| is inf
+            (1.0, -5e-324, "rotation frequency -5e-324 Hz"),
+            (1.7976931348623157e308, 1.0, "disk radius 1.7976931348623157e+308 m"),
+            (1e10, 1e300, "rim speed"),  # 2*pi*f*r overflows
+        ],
+    )
+    def test_unrepresentable_motion_rejected_by_name(self, radius, frequency, named):
+        with pytest.raises(NumericPreconditionError, match=re.escape(named)) as refused:
+            DiskTrajectory(radius=radius, frequency=frequency)
+        assert "not finite" in str(refused.value)
 
 
 class TestVelocity:
@@ -100,9 +116,11 @@ class TestField:
 
 class TestStations:
     def test_default_on_y_extremes(self):
-        stations = default_stations()
-        assert stations.angle_A == pytest.approx(-np.pi / 2.0)
-        assert stations.angle_B == pytest.approx(np.pi / 2.0)
+        assert STATION_A_ANGLE == pytest.approx(-np.pi / 2.0)
+        traj = station_trajectory(0.01, 4000.0)
+        assert np.allclose(position(traj, 0.0), [0.0, -0.01, 0.0], atol=1e-15)
+        # station B, half a rotation later, is antipodal at (0, +r)
+        assert np.allclose(position(traj, 1.0 / 8000.0), [0.0, 0.01, 0.0], atol=1e-15)
 
     def test_half_rotation_displacements(self):
         traj = station_trajectory(0.01, 4000.0)
@@ -116,10 +134,6 @@ class TestStations:
         traj = station_trajectory(0.01, 4000.0)
         dy = position(traj, 1.0 / 4000.0)[1] - position(traj, 0.0)[1]
         assert abs(dy) < 1e-15
-
-    def test_non_antipodal_rejected(self):
-        with pytest.raises(ValueError):
-            PulseStations(angle_A=0.0, angle_B=0.5)
 
     def test_y_extremes_maximize_half_rotation_dy(self):
         # grid search over antipodal pairs: |Delta y| peaks for stations at

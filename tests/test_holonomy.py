@@ -7,13 +7,12 @@ import pytest
 
 from ac_diamond import holonomy
 from ac_diamond.errors import NumericPreconditionError
-from ac_diamond.geometry import FieldConfig, station_trajectory, velocity
+from ac_diamond.geometry import STATION_A_ANGLE, FieldConfig, station_trajectory, velocity
 from ac_diamond.holonomy import (
     _CHUNK_STEPS,
     PathSampling,
     Propagator,
     _coupling_axes,
-    _generator_grid,
     _nearest_unitary,
     _ordered_product,
     _quadratic_diagonal_shift,
@@ -25,13 +24,7 @@ from ac_diamond.holonomy import (
     unitarity_defect,
 )
 from ac_diamond.phase import coupling_constant, segment_phase
-from ac_diamond.physics import (
-    CODATA,
-    NVParameters,
-    SpinState,
-    ground_state_hamiltonian,
-    spin_operators,
-)
+from ac_diamond.physics import C_LIGHT, HBAR, MU_B, NVParameters, SpinState, spin_operators
 
 PARAMS = NVParameters()
 RADIUS, FREQ = 0.01, 4000.0
@@ -64,7 +57,8 @@ def tipped_axes(*args, **kwargs):
 
 
 def generators(samp, dimension=3):
-    return _generator_grid(samp, PARAMS, dimension, CODATA)[0]
+    """Midpoint generators G = axes . S of every step, as a (steps, dim, dim) stack."""
+    return _spin_generators(_coupling_axes(samp, PARAMS), dimension)
 
 
 class TestCouplingGenerator:
@@ -106,10 +100,10 @@ class TestCouplingGenerator:
         # E along x: (S x E)^2 = E^2 (Sy^2 + Sz^2), whose spin-1 diagonal is
         # E^2 (3/2, 1, 3/2), so the level shifts are scale * (-1/2, 0, -1/2)
         mass = 2e-26
-        mu = PARAMS.g * CODATA.mu_B
-        scale = (mu * 3e7) ** 2 / (2.0 * mass * CODATA.c**4 * CODATA.hbar)
+        mu = PARAMS.g * MU_B
+        scale = (mu * 3e7) ** 2 / (2.0 * mass * C_LIGHT**4 * HBAR)
         shift = _quadratic_diagonal_shift(
-            FIELD.magnitude * FIELD.direction, spin_operators(3), PARAMS, mass, CODATA
+            FIELD.magnitude * FIELD.direction, spin_operators(3), PARAMS, mass
         )
         assert shift == pytest.approx(scale * np.array([-0.5, 0.0, -0.5]), rel=1e-12)
 
@@ -195,8 +189,7 @@ class TestStreamingStepper:
         # 0.1 rad of coupling per rotation: even one step over 0.6 rotations
         # passes the step-resolution bound
         samp = sampling(steps, t1=0.6 / FREQ, traj=traj, field=scaled_field(traj))
-        gens, dt = _generator_grid(samp, PARAMS, 3, CODATA)
-        stack = _step_unitaries(gens, dt)
+        stack = _step_unitaries(generators(samp), samp.dt)
         expected = _ordered_product(stack[::-1] if reverse else stack)
         prop = path_ordered_propagator(samp, PARAMS, reverse=reverse)
         assert np.max(np.abs(prop.U - expected)) < 1e-13
@@ -213,7 +206,6 @@ class TestStreamingStepper:
             raise AssertionError("generator stack built or diagonalised for planar motion")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(holonomy, "_generator_grid", refuse)
         monkeypatch.setattr(holonomy, "_spin_generators", refuse)
         samp = sampling(3 * _CHUNK_STEPS + 5)
         prop = path_ordered_propagator(samp, PARAMS)
@@ -229,7 +221,7 @@ class TestStreamingStepper:
         # the diagonal product from the whole-grid (N, dim, dim) generator
         # stack, its rates summed in the stepper's blocks
         samp = sampling(steps, t1=0.6 / FREQ, field=scaled_field(PLANAR))
-        gens, dt = _generator_grid(samp, PARAMS, dimension, CODATA)
+        gens, dt = generators(samp, dimension), samp.dt
         assert not np.any(gens - np.einsum("nii->ni", gens)[:, :, None] * np.eye(dimension))
         rates = np.ascontiguousarray(np.einsum("nii->in", gens).real)
         summed = np.zeros(dimension)
@@ -246,8 +238,7 @@ class TestStreamingStepper:
         if dimension == 3:
             initial = SpinState(np.array([0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
             out = effective_hamiltonian_evolve(samp, PARAMS, initial, detuning_hz=1e5)
-            static = np.real(np.diag(ground_state_hamiltonian(PARAMS, CODATA))) / CODATA.hbar
-            const_diag = static + np.array([0.0, 0.0, 2.0 * np.pi * 1e5])
+            const_diag = np.array([0.0, 0.0, 2.0 * np.pi * 1e5])
         else:
             initial = SpinState(np.array([0.6, 0.8]))
             out = effective_hamiltonian_evolve(samp, PARAMS, initial)
@@ -264,7 +255,7 @@ class TestStreamingStepper:
             return eigh(*args, **kwargs)
 
         samp = sampling(_CHUNK_STEPS + 1, t1=0.6 / FREQ, field=scaled_field(PLANAR))
-        axes = tipped_axes(samp, PARAMS, CODATA)
+        axes = tipped_axes(samp, PARAMS)
         expected = _ordered_product(_step_unitaries(_spin_generators(axes, 3), samp.dt))
         monkeypatch.setattr(holonomy, "_coupling_axes", tipped_axes)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
@@ -296,6 +287,84 @@ class TestStreamingStepper:
                 tracemalloc.stop()
 
         assert peak_bytes(32 * _CHUNK_STEPS) < 2.0 * peak_bytes(4 * _CHUNK_STEPS)
+
+
+def _exp_hermitian(h, t=1.0):
+    """exp(-i*t*h) of a Hermitian matrix h."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+# coupling strength k*E*2*pi*f*r of FIELD on the RADIUS, FREQ disk, rad/s
+OMEGA = coupling_constant(PARAMS) * FIELD.magnitude * 2.0 * np.pi * FREQ * RADIUS
+
+
+def rabi_reference(t0, t1, dimension, reverse=False):
+    """Exact propagator of the disk tilted by pi/2, from t0 to t1.
+
+    With E along x the coupling axis is Omega*(0, -sin(theta), cos(theta)),
+    theta = theta0 + 2*pi*f*t and Omega = k*E*2*pi*f*r: constant length,
+    turning uniformly about x.  So G(t) = Omega*R(theta)*Sz*R(theta)^dag with
+    R(theta) = exp(-i*theta*Sx), and in the frame turning with it the
+    generator is the constant Omega*Sz - 2*pi*f*Sx (rotating-frame Rabi
+    algebra).  The reverse-ordered product is the adjoint of the ordered
+    propagator of -G.
+    """
+    sx, _, sz = spin_operators(dimension)
+    turn = 2.0 * np.pi * FREQ
+    theta0, theta1 = (STATION_A_ANGLE + turn * t for t in (t0, t1))
+    sign = -1.0 if reverse else 1.0
+    u = (_exp_hermitian(theta1 * sx)
+         @ _exp_hermitian(sign * OMEGA * sz - turn * sx, t1 - t0)
+         @ _exp_hermitian(theta0 * sx).conj().T)
+    return u.conj().T if reverse else u
+
+
+class TestQuarterTurnTiltReference:
+    """Tilt pi/2 against its closed form: the only non-Abelian case with an
+    exact propagator, so it checks the general (eigh) stepper's accuracy and
+    not only its self-consistency."""
+
+    TILT_90 = station_trajectory(RADIUS, FREQ, tilt=np.pi / 2.0)
+    PERIOD = 1.0 / FREQ
+    # c in the bound c*dt^2 with dt in units of the period, i.e. the largest
+    # |U - U_exact| * steps^2 over one rotation at r = 0.01 m, f = 4 kHz,
+    # E = 3e7 V/m: measured 2.590 (spin-1) and 1.468 (spin-1/2) in both
+    # directions, plus 5% headroom
+    ERROR_CONSTANT = {3: 2.72, 2: 1.54}
+    # each eigendecomposed step is unitary to ~1e-15, so 1e4 steps stay far
+    # below this
+    ROUNDING = 1e-12
+
+    def tolerance(self, steps, dimension):
+        dt = self.PERIOD / steps
+        return self.ERROR_CONSTANT[dimension] * (dt / self.PERIOD) ** 2 + self.ROUNDING
+
+    def error(self, steps, dimension, reverse):
+        samp = sampling(steps, t1=self.PERIOD, traj=self.TILT_90)
+        prop = path_ordered_propagator(samp, PARAMS, dimension=dimension, reverse=reverse)
+        return np.max(np.abs(prop.U - rabi_reference(0.0, self.PERIOD, dimension, reverse)))
+
+    def test_axis_model_matches_coupling_axes(self):
+        samp = sampling(64, t1=self.PERIOD, traj=self.TILT_90)
+        theta = STATION_A_ANGLE + 2.0 * np.pi * FREQ * samp.midpoints()
+        model = OMEGA * np.stack([np.zeros_like(theta), -np.sin(theta), np.cos(theta)], axis=1)
+        assert np.max(np.abs(_coupling_axes(samp, PARAMS) - model)) < 1e-12 * OMEGA
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("dimension", [3, 2], ids=["spin-1", "spin-half"])
+    def test_propagator_is_second_order_accurate(self, dimension, reverse):
+        errors = {steps: self.error(steps, dimension, reverse) for steps in (1000, 10000)}
+        for steps, err in errors.items():
+            assert err <= self.tolerance(steps, dimension)
+        assert errors[1000] / errors[10000] == pytest.approx(100.0, rel=1e-3)
+
+    def test_oracle_run_matches_reference(self):
+        initial = SpinState(np.array([0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
+        samp = sampling(10000, t1=self.PERIOD, traj=self.TILT_90)
+        out = effective_hamiltonian_evolve(samp, PARAMS, initial)
+        expected = rabi_reference(0.0, self.PERIOD, 3) @ initial.amplitudes
+        assert np.max(np.abs(out.amplitudes - expected)) <= self.tolerance(10000, 3)
 
 
 class TestDysonSecondOrder:
@@ -349,8 +418,7 @@ class TestEffectiveHamiltonianEvolve:
     def test_superposition_acquires_minus_segment_phase(self):
         initial = SpinState(np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0))
         samp = sampling(40000)
-        out = effective_hamiltonian_evolve(samp, PARAMS, initial,
-                                           include_static=False)
+        out = effective_hamiltonian_evolve(samp, PARAMS, initial)
         amps = out.amplitudes
         relative = np.angle(amps[2] * np.conj(amps[1]))
         assert relative == pytest.approx(
@@ -366,8 +434,7 @@ class TestEffectiveHamiltonianEvolve:
     def test_tilted_path_uses_generic_stepper(self):
         tilted = station_trajectory(RADIUS, FREQ, tilt=0.2)
         samp = sampling(5000, traj=tilted)
-        out = effective_hamiltonian_evolve(samp, PARAMS, SpinState.ground(),
-                                           include_static=False)
+        out = effective_hamiltonian_evolve(samp, PARAMS, SpinState.ground())
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
         # tilt leaks amplitude out of |0> through the Sy coupling
         assert out.population(0) < 1.0
@@ -375,9 +442,7 @@ class TestEffectiveHamiltonianEvolve:
     def test_detuning_phases_only_state_one(self):
         samp = sampling(100, field=FieldConfig(magnitude=0.0))
         initial = SpinState(np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0))
-        out = effective_hamiltonian_evolve(samp, PARAMS, initial,
-                                           include_static=False,
-                                           detuning_hz=1e5)
+        out = effective_hamiltonian_evolve(samp, PARAMS, initial, detuning_hz=1e5)
         relative = np.angle(out.amplitudes[2] * np.conj(out.amplitudes[1]))
         expected = -2.0 * np.pi * 1e5 * HALF
         assert np.exp(1j * relative) == pytest.approx(np.exp(1j * expected), abs=1e-9)

@@ -1,4 +1,5 @@
-"""Tests for constants, spin operators, the NV Hamiltonian, and Rabi rotations."""
+"""Tests for the SI constants, the spin-matrix stack, the NV Hamiltonian and
+Rabi rotations."""
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ac_diamond.physics import (
-    CODATA,
+    C_LIGHT,
+    H_PLANCK,
+    HBAR,
+    MU_B,
     NVParameters,
-    PhysicalConstants,
-    QubitRotation,
     SpinState,
     apply_rotation,
     ground_state_hamiltonian,
@@ -21,19 +23,11 @@ TWO_PI = 2.0 * np.pi
 
 class TestConstants:
     def test_all_positive(self):
-        for name in ("h", "hbar", "mu_B", "c"):
-            assert getattr(CODATA, name) > 0.0
+        for value in (H_PLANCK, HBAR, MU_B, C_LIGHT):
+            assert value > 0.0
 
     def test_h_is_two_pi_hbar(self):
-        assert abs(CODATA.h - TWO_PI * CODATA.hbar) <= 1e-12 * CODATA.h
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(hbar=1.0e-34)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(c=0.0)
+        assert abs(H_PLANCK - TWO_PI * HBAR) <= 1e-12 * H_PLANCK
 
 
 class TestNVParameters:
@@ -54,42 +48,39 @@ class TestNVParameters:
 class TestSpinOperators:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_hermitian(self, dim):
-        ops = spin_operators(dim)
-        for mat in (ops.Sx, ops.Sy, ops.Sz):
+        for mat in spin_operators(dim):
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-14
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_cyclic_commutators(self, dim):
-        ops = spin_operators(dim)
-        triples = [
-            (ops.Sx, ops.Sy, ops.Sz),
-            (ops.Sy, ops.Sz, ops.Sx),
-            (ops.Sz, ops.Sx, ops.Sy),
-        ]
+        sx, sy, sz = spin_operators(dim)
+        triples = [(sx, sy, sz), (sy, sz, sx), (sz, sx, sy)]
         for a, b, c in triples:
             assert np.max(np.abs(a @ b - b @ a - 1j * c)) < 1e-14
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_casimir(self, dim):
-        ops = spin_operators(dim)
+        sx, sy, sz = spin_operators(dim)
         s = (dim - 1) / 2.0
-        total = ops.Sx @ ops.Sx + ops.Sy @ ops.Sy + ops.Sz @ ops.Sz
+        total = sx @ sx + sy @ sy + sz @ sz
         assert np.max(np.abs(total - s * (s + 1) * np.eye(dim))) < 1e-14
 
     def test_spin_half_spectrum(self):
-        ops = spin_operators(2)
-        spectrum = np.sort(np.linalg.eigvalsh(ops.Sz))[::-1]
+        spectrum = np.sort(np.linalg.eigvalsh(spin_operators(2)[2]))[::-1]
         assert np.allclose(spectrum, [0.5, -0.5], atol=1e-14)
 
     def test_spin_one_spectrum(self):
-        ops = spin_operators(3)
-        spectrum = np.sort(np.linalg.eigvalsh(ops.Sz))[::-1]
+        spectrum = np.sort(np.linalg.eigvalsh(spin_operators(3)[2]))[::-1]
         assert np.allclose(spectrum, [1.0, 0.0, -1.0], atol=1e-14)
 
     def test_ascending_basis_order(self):
         # shared package convention: index order (|-1>, |0>, |+1>)
-        assert np.allclose(np.diag(spin_operators(3).Sz), [-1.0, 0.0, 1.0])
-        assert np.allclose(np.diag(spin_operators(2).Sz), [-0.5, 0.5])
+        assert np.allclose(np.diag(spin_operators(3)[2]), [-1.0, 0.0, 1.0])
+        assert np.allclose(np.diag(spin_operators(2)[2]), [-0.5, 0.5])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_shape(self, dim):
+        assert spin_operators(dim).shape == (3, dim, dim)
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
@@ -101,7 +92,7 @@ class TestGroundStateHamiltonian:
         params = NVParameters(B_z=0.0)
         diag = np.real(np.diag(ground_state_hamiltonian(params)))
         e_minus, e_plus = diag[0] - diag[1], diag[2] - diag[1]
-        expected = CODATA.h * 2.88e9
+        expected = H_PLANCK * 2.88e9
         assert abs(e_plus - expected) < 1e-12 * expected
         assert abs(e_minus - expected) < 1e-12 * expected
 
@@ -152,18 +143,17 @@ state_components = st.lists(
 class TestRotations:
     def test_pi_twice_returns_to_start(self):
         state = SpinState.ground()
-        rot = QubitRotation(np.pi, 0.0)
-        out = apply_rotation(apply_rotation(state, rot), rot)
+        out = apply_rotation(apply_rotation(state, np.pi, 0.0), np.pi, 0.0)
         assert abs(abs(out.amplitudes[1]) - 1.0) < 1e-12
 
     def test_two_half_pis_make_pi(self):
         state = SpinState.ground()
-        rot = QubitRotation(np.pi / 2.0, 0.0)
-        out = apply_rotation(apply_rotation(state, rot), rot)
+        half_pi = np.pi / 2.0
+        out = apply_rotation(apply_rotation(state, half_pi, 0.0), half_pi, 0.0)
         assert abs(abs(out.amplitudes[2]) - 1.0) < 1e-12
 
     def test_half_pi_amplitudes(self):
-        out = apply_rotation(SpinState.ground(), QubitRotation(np.pi / 2.0, 0.0))
+        out = apply_rotation(SpinState.ground(), np.pi / 2.0, 0.0)
         expected = np.array([0.0, 1.0 / np.sqrt(2.0), -1j / np.sqrt(2.0)])
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
@@ -172,7 +162,7 @@ class TestRotations:
            phi=st.floats(min_value=-10.0, max_value=10.0))
     def test_norm_and_bystander_preserved(self, raw, theta, phi):
         state = _normalized_state(raw)
-        out = apply_rotation(state, QubitRotation(theta, phi))
+        out = apply_rotation(state, theta, phi)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
         assert out.amplitudes[0] == state.amplitudes[0]
 

@@ -17,7 +17,6 @@ from ac_diamond.sequence import (
     MAX_ROTATIONS,
     EchoSchedule,
     PulseEvent,
-    StarkModel,
     build_echo_schedule,
     fringe_zero_crossings,
     integer_rotations,
@@ -435,7 +434,7 @@ class TestFringeCrossingCounter:
 
 class TestStark:
     def test_reference_point(self):
-        report = stark_shift(3e7, PARAMS, StarkModel(R2E=20.0), f_disk=FREQ)
+        report = stark_shift(3e7, PARAMS, f_disk=FREQ)
         assert report.coupling_hz == pytest.approx(6.0e6, rel=1e-12)
         # oracle: f_z = 2*g*mu_B*B/h from raw constants
         fz = 2.0 * 2.0 * 9.2740100783e-24 * 1e-3 / 6.62607015e-34
@@ -446,22 +445,32 @@ class TestStark:
         assert report.adiabatic
 
     def test_fast_disk_breaks_adiabaticity(self):
-        report = stark_shift(3e7, PARAMS, StarkModel(R2E=20.0), f_disk=1e6)
+        report = stark_shift(3e7, PARAMS, f_disk=1e6)
         assert not report.adiabatic
 
     def test_degenerate_levels_rejected(self):
         params = NVParameters(B_z=0.0)
         with pytest.raises(NumericPreconditionError):
-            stark_shift(3e7, params, StarkModel(R2E=20.0), f_disk=FREQ)
+            stark_shift(3e7, params, f_disk=FREQ)
 
     @pytest.mark.parametrize("g", [1e-300, 1e308])
     def test_unrepresentable_zeeman_splitting_rejected(self, g):
         params = NVParameters(g=g, B_z=1e-3)
         with pytest.raises(NumericPreconditionError):
-            stark_shift(3e7, params, StarkModel(R2E=20.0), f_disk=FREQ)
+            stark_shift(3e7, params, f_disk=FREQ)
+
+    def test_coupling_reads_r2e_from_the_parameters(self):
+        report = stark_shift(3e7, NVParameters(B_z=1e-3, R2E=5.0), f_disk=FREQ)
+        assert report.coupling_hz == pytest.approx(1.5e6, rel=1e-12)
+
+    @pytest.mark.parametrize("e_field", [1e160, 1e200])
+    def test_overflowing_shift_rejected(self, e_field):
+        # (R2E*E)^2 of Python floats is inf, not a numpy floating-point error
+        with pytest.raises(NumericPreconditionError, match="level shift"):
+            stark_shift(e_field, PARAMS, f_disk=FREQ)
 
     def test_shift_is_echoed_away(self):
-        report = stark_shift(3e7, PARAMS, StarkModel(R2E=20.0), f_disk=FREQ)
+        report = stark_shift(3e7, PARAMS, f_disk=FREQ)
         sched = build_echo_schedule(5, FREQ, 0.2)
         base = simulate_run(sched, TRAJ, FIELD, PARAMS).p1
         shifted = simulate_run(
