@@ -37,12 +37,10 @@ from .physics import (
     NVParameters,
     SpinState,
     apply_rotation,
-    ground_state_hamiltonian,
     spin_operators,
 )
 from .sequence import (
     EchoSchedule,
-    PulseEvent,
     RunResult,
     StarkReport,
     SweepResult,

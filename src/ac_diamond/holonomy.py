@@ -95,26 +95,19 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
 
 
-_LEVI_CIVITA = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in [
-    (0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
-    (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0),
-]:
-    _LEVI_CIVITA[_i, _j, _k] = _s
-
-
 def _quadratic_diagonal_shift(e_vec, ops, params, mass) -> np.ndarray:
     """Diagonal of (mu^2 E^2 - (mu S x E)^2)/(2 m c^4 hbar) in rad/s, mu = g*mu_B.
 
     These are the two quadratic-in-E Hamiltonian terms dropped from the
     coupling; only their level shifts (the echo-cancellable part) are kept.
+    For a c-number E, (S x E)^2 = s(s+1) E^2 - (E.S)^2.
     """
     mu = params.g * MU_B
-    sxe = np.einsum("ijk,jab,k->iab", _LEVI_CIVITA, ops, e_vec)
-    sq = np.einsum("iab,ibc->ac", sxe, sxe)
-    e_sq = float(e_vec @ e_vec)
-    full = mu * mu * (e_sq * np.eye(ops.shape[1]) - sq) / (2.0 * mass * C_LIGHT**4 * HBAR)
-    return np.real(np.diag(full))
+    dim = ops.shape[1]
+    casimir = (dim * dim - 1) / 4.0  # s(s+1) for spin s = (dim - 1)/2
+    e_dot_s = np.tensordot(e_vec, ops, axes=1)
+    full = (e_vec @ e_vec) * (1.0 - casimir) * np.eye(dim) + e_dot_s @ e_dot_s
+    return mu * mu * np.real(np.diag(full)) / (2.0 * mass * C_LIGHT**4 * HBAR)
 
 
 def _coupling_axes(

@@ -115,15 +115,3 @@ def apply_rotation(state: SpinState, theta: float, phi: float) -> SpinState:
         raise ValueError("qubit rotations act on spin-1 states")
     amps[1:] = rotation_matrix(theta, phi) @ amps[1:]
     return SpinState(amps)
-
-
-def ground_state_hamiltonian(params: NVParameters) -> np.ndarray:
-    """NV ground-state spin Hamiltonian in joules, ascending-m basis.
-
-    H = h*D*(Sz^2 - (2/3) I) + g*mu_B*B_z*Sz, which places |+-1> a spectroscopic
-    splitting D above |0> at zero field and splits them linearly in B_z.
-    """
-    sz = spin_operators(3)[2]
-    zfs = H_PLANCK * params.D * (sz @ sz - (2.0 / 3.0) * np.eye(3))
-    zeeman = params.g * MU_B * params.B_z * sz
-    return zfs + zeeman

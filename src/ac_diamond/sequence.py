@@ -4,7 +4,8 @@ The echo run is: optical pump into |0> at station A, a pi/2 pulse, a pi pulse
 at every station crossing (twice per rotation, which rectifies the otherwise
 sign-alternating A-C phase and cancels any static precession), and after n full
 rotations a final pi/2 pulse whose phase lags the earlier pulses by ``lag``,
-followed by fluorescence readout.  All pulses are instantaneous.
+followed by fluorescence readout.  All pulses are instantaneous and land on
+the station grid k/(2f) that an :class:`EchoSchedule` stores.
 
 Closed-form signal contract (confirmed against the matrix/ODE oracle by the
 test suite):
@@ -33,53 +34,40 @@ from .physics import (
     H_PLANCK, MU_B, TWO_PI, NVParameters, SpinState, apply_rotation, rotation_matrix,
 )
 
-MAX_ROTATIONS = 10_000  # a schedule holds 2n pi pulses and the walk 2n segments
+MAX_ROTATIONS = 10_000  # a schedule fires 2n pi pulses and the walk 2n segments
 MAX_PHASE_ULP = 1e-6  # rad; coarsest phase spacing the closed form may pass to cos
-
-PUMP = "pump"
-HALF_PI = "half_pi"
-PI = "pi"
-READOUT = "readout"
-
-
-@dataclass(frozen=True)
-class PulseEvent:
-    time: float
-    kind: str
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (PUMP, HALF_PI, PI, READOUT):
-            raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if self.time < 0.0:
-            raise ValueError("event times must be non-negative")
 
 
 @dataclass(frozen=True)
 class EchoSchedule:
-    """Time-ordered pulse program for one run.
+    """The station grid of one run: ``intervals`` half periods h = 1/(2f).
 
-    ``duration`` is the evolution time t_r between the two pi/2 pulses;
-    ``readout_lag`` is the phase by which the final pi/2 lags the others.
+    Pump and pi/2 at t = 0, a pi pulse at each crossing k*h, k = 1..intervals
+    (if ``refocus``), then the final pi/2, lagging by ``readout_lag``, and the
+    readout at t_r = ``duration`` = intervals*h.  The rectified phase counts
+    ``n_rotations``.
     """
 
-    events: tuple[PulseEvent, ...]
     n_rotations: int
     frequency: float
-    duration: float
+    intervals: int
     readout_lag: float
+    refocus: bool = True
 
     def __post_init__(self):
-        times = [ev.time for ev in self.events]
-        if times != sorted(times):
-            raise ValueError("schedule events must be time-ordered")
+        if not self.frequency > 0.0:
+            raise ValueError("rotation frequency must be positive")
 
     @property
     def half_period(self) -> float:
         return 1.0 / (2.0 * self.frequency)
 
+    @property
+    def duration(self) -> float:
+        return self.intervals * self.half_period
+
     def pi_pulse_count(self) -> int:
-        return sum(1 for ev in self.events if ev.kind == PI)
+        return self.intervals if self.refocus else 0
 
 
 def integer_rotations(n) -> int:
@@ -95,30 +83,11 @@ def integer_rotations(n) -> int:
     return n_int
 
 
-def _station_schedule(n_int: int, intervals: int, f: float, lag: float) -> EchoSchedule:
-    """Pump and pi/2 at t = 0, pi pulses at the station crossings k/(2f) for
-    k = 1..intervals, and the final pi/2 (phase -lag) plus readout at the last."""
-    if f <= 0.0:
-        raise ValueError("rotation frequency must be positive")
-    h = 1.0 / (2.0 * f)
-    events = [PulseEvent(0.0, PUMP), PulseEvent(0.0, HALF_PI, 0.0)]
-    events += [PulseEvent(k * h, PI, 0.0) for k in range(1, intervals + 1)]
-    t_end = intervals * h
-    events += [PulseEvent(t_end, HALF_PI, -lag), PulseEvent(t_end, READOUT)]
-    return EchoSchedule(
-        events=tuple(events),
-        n_rotations=n_int,
-        frequency=f,
-        duration=t_end,
-        readout_lag=lag,
-    )
-
-
 def build_echo_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
     """Standard even schedule: 2n pi pulses at the station crossings k/(2f),
     k = 1..2n, with the final pi/2 (phase -lag) and readout at t = n/f."""
     n_int = integer_rotations(n)
-    return _station_schedule(n_int, 2 * n_int, f, lag)
+    return EchoSchedule(n_int, f, 2 * n_int, lag)
 
 
 def odd_pulse_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
@@ -128,14 +97,13 @@ def odd_pulse_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
     constant detuning delta survives as a residual phase 2*pi*delta/(2f).
     """
     n_int = integer_rotations(n)
-    return _station_schedule(n_int, 2 * n_int - 1, f, lag)
+    return EchoSchedule(n_int, f, 2 * n_int - 1, lag)
 
 
 def strip_pi_pulses(schedule: EchoSchedule) -> EchoSchedule:
     """Control variant without refocusing pulses; the sinusoidal A-C phase then
     integrates to zero over whole rotations."""
-    events = tuple(ev for ev in schedule.events if ev.kind != PI)
-    return replace(schedule, events=events)
+    return replace(schedule, refocus=False)
 
 
 @dataclass(frozen=True)
@@ -186,9 +154,6 @@ def _validate_run_inputs(schedule: EchoSchedule, traj: DiskTrajectory) -> None:
         raise ValueError(
             "trajectory must start at station A so pulses land on station crossings"
         )
-    kinds = [ev.kind for ev in schedule.events]
-    if kinds[:2] != [PUMP, HALF_PI] or kinds[-2:] != [HALF_PI, READOUT]:
-        raise ValueError("schedule must run pump, half_pi, ..., half_pi, readout")
 
 
 def simulate_run(
@@ -203,8 +168,8 @@ def simulate_run(
 ) -> RunResult:
     """Evolve one echo run and read out the |1> population.
 
-    closed_form: one walk over the schedule (:func:`_closed_form_walk`)
-    evaluated at this field; requires planar motion and phase-0 pi pulses.
+    closed_form: one walk over the station grid (:func:`_closed_form_walk`)
+    evaluated at this field; requires planar motion.
 
     oracle: integrates each interval with the unitarity-preserving stepper and
     applies the pulse rotation matrices; tolerates tilt.
@@ -227,14 +192,14 @@ def simulate_run(
 
 
 def _closed_form_walk(schedule, traj, field, params, detuning_hz):
-    """Walk the pulse schedule once and return (phi, static_phase, final_phase).
+    """Walk the station grid once and return (phi, static_phase, final_phase).
 
     phi sums the per-interval A-C segment phases at ``field``, flipping the
-    bookkeeping sign at each pi pulse.  Detuning phases are accumulated
-    tick-wise so the even-pulse echo cancellation is exact; with nonzero
-    detuning every interval must span whole half periods.  phi is linear in
-    the field magnitude: a sweep walks once at unit magnitude and scales phi by
-    each E in :func:`_echo_p1`, a single run walks at its own field.
+    bookkeeping sign at each pi pulse.  Every interval is one half period, so
+    the detuning phase is one tick per interval and the even-pulse echo
+    cancellation is exact.  phi is linear in the field magnitude: a sweep
+    walks once at unit magnitude and scales phi by each E in
+    :func:`_echo_p1`, a single run walks at its own field.
     """
     _validate_run_inputs(schedule, traj)
     half = schedule.half_period
@@ -242,34 +207,14 @@ def _closed_form_walk(schedule, traj, field, params, detuning_hz):
     sign = 1.0
     ac_total = 0.0
     static_total = 0.0
-    cursor = 0.0
-    final_phase = 0.0
-    for ev in schedule.events:
-        if ev.time > cursor:
-            d_ac = segment_phase(cursor, ev.time, traj, field, params)
-            spans = (ev.time - cursor) / half
-            ticks = round(spans)
-            if detuning_hz != 0.0 and abs(spans - ticks) > 1e-9:
-                raise NumericPreconditionError(
-                    "closed-form detuning bookkeeping needs pulses on the "
-                    "half-period grid"
-                )
-            ac_total += sign * d_ac
-            static_total += sign * tick_phase * ticks
-            cursor = ev.time
-        if ev.kind == PI:
-            if ev.phase != 0.0:
-                raise NumericPreconditionError(
-                    "closed-form bookkeeping assumes phase-0 pi pulses"
-                )
+    for k in range(1, schedule.intervals + 1):
+        ac_total += sign * segment_phase((k - 1) * half, k * half, traj, field, params)
+        static_total += sign * tick_phase
+        if schedule.refocus:
             sign = -sign
-        elif ev.kind == HALF_PI and ev.time > 0.0:
-            final_phase = ev.phase
-        elif ev.kind == HALF_PI and ev.phase != 0.0:
-            raise NumericPreconditionError(
-                "closed-form bookkeeping assumes a phase-0 opening pulse"
-            )
-    return ac_total, static_total, final_phase
+    if sign < 0.0:  # odd pi count swaps |0>, |1>: p1 = 1/2*(1 - cos(phi + lag))
+        return ac_total, static_total, schedule.readout_lag + math.pi
+    return ac_total, static_total, -schedule.readout_lag
 
 
 def _echo_p1(scale, walk, coherence):
@@ -293,52 +238,39 @@ def _echo_p1(scale, walk, coherence):
 def _run_oracle(
     schedule, traj, field, params, detuning_hz, steps_per_interval, quadratic_mass
 ):
-    state = SpinState.ground()
-    cursor = 0.0
-    rho = None
+    half = schedule.half_period
     coherence = math.exp(-schedule.duration / params.T2)
-    relative_phase = 0.0
-    for ev in schedule.events:
-        if ev.time > cursor:
-            sampling = PathSampling(
-                t_start=cursor,
-                t_end=ev.time,
-                steps=steps_per_interval,
-                trajectory=traj,
-                field=field,
-            )
-            state = effective_hamiltonian_evolve(
-                sampling,
-                params,
-                state,
-                detuning_hz=detuning_hz,
-                quadratic_mass=quadratic_mass,
-            )
-            cursor = ev.time
-        if ev.kind == PUMP:
-            state = SpinState.ground()
-        elif ev.kind == PI:
-            state = apply_rotation(state, math.pi, ev.phase)
-        elif ev.kind == HALF_PI and ev.time == 0.0:
-            state = apply_rotation(state, math.pi / 2.0, ev.phase)
-        elif ev.kind == HALF_PI:
-            # Dephasing damps the qubit coherence accumulated over the run,
-            # so it is applied to the density matrix before the readout pulse.
-            amps = state.amplitudes
-            relative_phase = float(np.angle(amps[2] * np.conj(amps[1])))
-            rho = np.outer(amps, amps.conj())
-            rho[1, 2] *= coherence
-            rho[2, 1] *= coherence
-            gate = np.eye(3, dtype=complex)
-            gate[1:, 1:] = rotation_matrix(math.pi / 2.0, ev.phase)
-            rho = gate @ rho @ gate.conj().T
-    if rho is None:
-        raise ValueError("schedule has no readout pulse")
+    state = apply_rotation(SpinState.ground(), math.pi / 2.0, 0.0)
+    for k in range(1, schedule.intervals + 1):
+        sampling = PathSampling(
+            t_start=(k - 1) * half,
+            t_end=k * half,
+            steps=steps_per_interval,
+            trajectory=traj,
+            field=field,
+        )
+        state = effective_hamiltonian_evolve(
+            sampling,
+            params,
+            state,
+            detuning_hz=detuning_hz,
+            quadratic_mass=quadratic_mass,
+        )
+        if schedule.refocus:
+            state = apply_rotation(state, math.pi, 0.0)
+    # Dephasing damps the qubit coherence accumulated over the run, so it is
+    # applied to the density matrix before the lagging readout pulse.
+    amps = state.amplitudes
+    rho = np.outer(amps, amps.conj())
+    rho[1, 2] *= coherence
+    rho[2, 1] *= coherence
+    gate = np.eye(3, dtype=complex)
+    gate[1:, 1:] = rotation_matrix(math.pi / 2.0, -schedule.readout_lag)
+    rho = gate @ rho @ gate.conj().T
     return RunResult(
         p1=float(np.real(rho[2, 2])),
-        ac_phase=relative_phase,
+        ac_phase=float(np.angle(amps[2] * np.conj(amps[1]))),
         coherence=coherence,
-        static_phase=None,
     )
 
 

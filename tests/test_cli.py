@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, exit codes, CSV determinism."""
 
 import contextlib
+import importlib.util
 import io
 import tempfile
 from dataclasses import fields
@@ -20,6 +21,7 @@ from ac_diamond.sequence import MAX_ROTATIONS
 
 DEFAULT_CFG = "configs/default.cfg"
 PHI10_CFG = "configs/phi10.cfg"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def read_csv(path):
@@ -324,6 +326,23 @@ def test_csv_floats_are_full_precision(tmp_path):
     assert np.all((values >= 0.0) & (values <= 1.0))
     # round-trippable formatting: 17 significant digits
     assert any("." in r[2] and len(r[2]) > 10 for r in rows)
+
+
+def test_reproduction_script_reruns_byte_identical(tmp_path):
+    # the headline reproduction is a pure function of the shipped configs
+    script = SCRIPTS / "reproduce_headline_numbers.py"
+    spec = importlib.util.spec_from_file_location("reproduce_headline_numbers", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    trees = []
+    for name in ("first", "second"):
+        assert module.run(tmp_path / name) == 0
+        trees.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert sorted(trees[0]) == sorted(
+        f"{stem}.csv" for stem in ("phase", "sensitivity", "sweep", "holonomy",
+                                   "stark", "echo_check", "montecarlo")
+    )
+    assert trees[0] == trees[1]
 
 
 # Config values: each key's default (or a typical value) times a scale that is

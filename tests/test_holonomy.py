@@ -107,6 +107,30 @@ class TestCouplingGenerator:
         )
         assert shift == pytest.approx(scale * np.array([-0.5, 0.0, -0.5]), rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 3], ids=["spin-half", "spin-1"])
+    @pytest.mark.parametrize(
+        "direction", [(1.0, 0.0, 0.0), (0.3, -0.5, 0.81)], ids=["x", "oblique"]
+    )
+    def test_quadratic_shift_matches_levi_civita_sum(self, dim, direction):
+        # (S x E)_i = sum_jk eps_ijk S_j E_k, squared and summed over i
+        def eps(i, j, k):
+            return (i - j) * (j - k) * (k - i) / 2
+
+        mass = 2e-26
+        mu = PARAMS.g * MU_B
+        e_vec = 3e7 * np.array(direction) / np.linalg.norm(direction)
+        ops = spin_operators(dim)
+        sxe = [
+            sum(eps(i, j, k) * ops[j] * e_vec[k] for j in range(3) for k in range(3))
+            for i in range(3)
+        ]
+        full = (e_vec @ e_vec) * np.eye(dim) - sum(c @ c for c in sxe)
+        expected = mu * mu * np.real(np.diag(full)) / (2.0 * mass * C_LIGHT**4 * HBAR)
+        shift = _quadratic_diagonal_shift(e_vec, ops, PARAMS, mass)
+        np.testing.assert_allclose(
+            shift, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected))
+        )
+
 
 class TestPathOrderedPropagator:
     def test_zero_field_identity(self):

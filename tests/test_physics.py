@@ -1,5 +1,4 @@
-"""Tests for the SI constants, the spin-matrix stack, the NV Hamiltonian and
-Rabi rotations."""
+"""Tests for the SI constants, the spin-matrix stack and Rabi rotations."""
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from ac_diamond.physics import (
     NVParameters,
     SpinState,
     apply_rotation,
-    ground_state_hamiltonian,
     spin_operators,
 )
 
@@ -85,47 +83,6 @@ class TestSpinOperators:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             spin_operators(4)
-
-
-class TestGroundStateHamiltonian:
-    def test_zero_field_splitting(self):
-        params = NVParameters(B_z=0.0)
-        diag = np.real(np.diag(ground_state_hamiltonian(params)))
-        e_minus, e_plus = diag[0] - diag[1], diag[2] - diag[1]
-        expected = H_PLANCK * 2.88e9
-        assert abs(e_plus - expected) < 1e-12 * expected
-        assert abs(e_minus - expected) < 1e-12 * expected
-
-    def test_zero_field_degeneracy(self):
-        diag = np.real(np.diag(ground_state_hamiltonian(NVParameters(B_z=0.0))))
-        e_minus, e_plus = diag[0] - diag[1], diag[2] - diag[1]
-        assert e_minus == e_plus
-
-    def test_zeeman_splitting_value(self):
-        # oracle: E(+1) - E(-1) = 2*g*mu_B*B evaluated directly from CODATA
-        params = NVParameters(B_z=1.0e-3, g=2.0)
-        h_mat = ground_state_hamiltonian(params)
-        splitting = np.real(h_mat[2, 2] - h_mat[0, 0])
-        expected = 2.0 * 2.0 * 9.2740100783e-24 * 1.0e-3
-        assert abs(splitting - expected) < 1e-9 * expected
-        assert expected == pytest.approx(3.71e-26, rel=2e-3)
-
-    def test_hermitian(self):
-        h_mat = ground_state_hamiltonian(NVParameters(B_z=5e-4))
-        assert np.max(np.abs(h_mat - h_mat.conj().T)) < 1e-14
-
-    @given(
-        b1=st.floats(min_value=0.0, max_value=0.1),
-        b2=st.floats(min_value=0.0, max_value=0.1),
-    )
-    def test_linear_in_field(self, b1, b2):
-        def ham(b):
-            return ground_state_hamiltonian(NVParameters(B_z=b))
-
-        lhs = ham(b1) + ham(b2) - ham(0.0)
-        rhs = ham(b1 + b2)
-        scale = max(np.max(np.abs(rhs)), 1e-30)
-        assert np.max(np.abs(lhs - rhs)) < 1e-14 * scale
 
 
 def _normalized_state(raw):

@@ -16,7 +16,6 @@ from ac_diamond.physics import NVParameters
 from ac_diamond.sequence import (
     MAX_ROTATIONS,
     EchoSchedule,
-    PulseEvent,
     build_echo_schedule,
     fringe_zero_crossings,
     integer_rotations,
@@ -27,6 +26,7 @@ from ac_diamond.sequence import (
     stark_shift,
     strip_pi_pulses,
     sweep_signal,
+    _closed_form_walk,
     _echo_p1,
 )
 
@@ -47,11 +47,12 @@ def static_phase(detuning, sched):
 
 class TestBuildEchoSchedule:
     def test_pi_pulse_times_n1(self):
+        # pi pulses at the station crossings k*h, k = 1..2; the last one
+        # coincides with the final pi/2 at t_r = 2h
         sched = build_echo_schedule(1, FREQ, 0.0)
-        pi_times = [ev.time for ev in sched.events if ev.kind == "pi"]
-        assert pi_times == pytest.approx([125e-6, 250e-6], rel=1e-12)
-        final_half_pi = [ev for ev in sched.events if ev.kind == "half_pi"][-1]
-        assert final_half_pi.time == pytest.approx(250e-6, rel=1e-12)
+        assert sched.half_period == pytest.approx(125e-6, rel=1e-12)
+        assert sched.intervals == 2
+        assert sched.duration == pytest.approx(250e-6, rel=1e-12)
 
     def test_pi_pulse_count(self):
         assert build_echo_schedule(3, FREQ).pi_pulse_count() == 6
@@ -63,12 +64,15 @@ class TestBuildEchoSchedule:
 
     def test_structure(self):
         sched = build_echo_schedule(2, FREQ, 0.3)
-        kinds = [ev.kind for ev in sched.events]
-        assert kinds[0] == "pump" and kinds[1] == "half_pi"
-        assert kinds[-2] == "half_pi" and kinds[-1] == "readout"
-        # lagging final pulse enters the rotation with phase -lag
-        assert sched.events[-2].phase == -0.3
+        assert (sched.n_rotations, sched.frequency, sched.intervals) == (2, FREQ, 4)
+        assert sched.refocus
+        assert sched.duration == sched.intervals * sched.half_period
         assert sched.readout_lag == 0.3
+        # lagging final pulse enters the rotation with phase -lag
+        assert _closed_form_walk(sched, TRAJ, FIELD, PARAMS, 0.0)[2] == -0.3
+        control = strip_pi_pulses(sched)
+        assert not control.refocus and control.pi_pulse_count() == 0
+        assert control.duration == sched.duration
 
     @pytest.mark.parametrize("bad_n", [0, -1, 2.5])
     def test_rejects_non_integer_rotations(self, bad_n):
@@ -78,16 +82,9 @@ class TestBuildEchoSchedule:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             build_echo_schedule(1, 0.0)
-
-    def test_events_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            EchoSchedule(
-                events=(PulseEvent(1.0, "pi"), PulseEvent(0.0, "pump")),
-                n_rotations=1,
-                frequency=FREQ,
-                duration=1.0,
-                readout_lag=0.0,
-            )
+        for f in (0.0, -FREQ, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                EchoSchedule(n_rotations=1, frequency=f, intervals=2, readout_lag=0.0)
 
     def test_odd_schedule_counts(self):
         sched = odd_pulse_schedule(5, FREQ)
@@ -129,28 +126,6 @@ class TestSimulateRunClosedForm:
         sched = build_echo_schedule(1, FREQ)
         with pytest.raises(ValueError):
             simulate_run(sched, traj, FIELD, PARAMS)
-
-    def test_rejects_detuning_off_the_half_period_grid(self):
-        # pi pulses at 0.3h and h over 2h: the detuning phase is
-        # 2*pi*delta*(0.3 - 0.7 + 1)h = 0.471 rad at 1 kHz, which whole
-        # half-period ticks would round to 0
-        h = 1.0 / (2.0 * FREQ)
-        events = (
-            PulseEvent(0.0, "pump"), PulseEvent(0.0, "half_pi"),
-            PulseEvent(0.3 * h, "pi"), PulseEvent(h, "pi"),
-            PulseEvent(2.0 * h, "half_pi"), PulseEvent(2.0 * h, "readout"),
-        )
-        sched = EchoSchedule(events, n_rotations=1, frequency=FREQ,
-                             duration=2.0 * h, readout_lag=0.0)
-        with pytest.raises(NumericPreconditionError):
-            simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=1e3)
-        closed = simulate_run(sched, TRAJ, FIELD, PARAMS)
-        oracle = simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle",
-                              detuning_hz=1e3)
-        exact = closed.ac_phase + 2.0 * math.pi * 1e3 * 0.6 * h
-        assert oracle.p1 == pytest.approx(
-            0.5 * (1.0 + closed.coherence * math.cos(exact)), abs=1e-6
-        )
 
     def test_envelope_scales_fringe_only(self):
         lag = 0.4
@@ -210,6 +185,29 @@ class TestOracleAgreement:
         closed = simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=2.5e5)
         oracle = simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle",
                               detuning_hz=2.5e5, steps_per_interval=30000)
+        assert oracle.p1 == pytest.approx(closed.p1, abs=1e-7)
+
+    def test_odd_schedule_oracle_keeps_the_uncancelled_tick(self):
+        # 2n-1 intervals leave one detuning tick 2*pi*delta*h = pi/4 at 1 kHz,
+        # and the odd pi-pulse count swaps |0> and |1> at readout
+        sched = odd_pulse_schedule(2, FREQ, 0.3)
+        closed = simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=1e3)
+        oracle = simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle",
+                              detuning_hz=1e3, steps_per_interval=30000)
+        assert closed.static_phase == pytest.approx(math.pi / 4.0, rel=1e-12)
+        assert oracle.p1 == pytest.approx(closed.p1, abs=1e-7)
+        untuned = simulate_run(sched, TRAJ, FIELD, PARAMS)
+        assert abs(untuned.p1 - closed.p1) > 0.1
+
+    def test_pi_free_oracle_matches_closed_form(self):
+        sched = strip_pi_pulses(build_echo_schedule(2, FREQ, 0.3))
+        closed = simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=1e3)
+        oracle = simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle",
+                              detuning_hz=1e3, steps_per_interval=30000)
+        # no refocusing: all four ticks add up, and the A-C phase integrates
+        # to zero over whole rotations
+        assert closed.static_phase == pytest.approx(math.pi, rel=1e-12)
+        assert abs(closed.ac_phase) < 1e-9
         assert oracle.p1 == pytest.approx(closed.p1, abs=1e-7)
 
     def test_quadratic_terms_cancelled_by_echo(self):
