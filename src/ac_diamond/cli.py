@@ -62,7 +62,7 @@ def _load(args) -> ExperimentConfig:
 
 
 def _nv_params(cfg: ExperimentConfig) -> NVParameters:
-    return NVParameters(D=cfg.D, g=cfg.g, R2E=cfg.R2E, T2=cfg.T2, B_z=cfg.B_z)
+    return NVParameters(g=cfg.g, R2E=cfg.R2E, T2=cfg.T2, B_z=cfg.B_z)
 
 
 def _resolved_lag(cfg: ExperimentConfig) -> float:

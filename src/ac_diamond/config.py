@@ -22,7 +22,7 @@ class ExperimentConfig:
     """Full parameter set for the CLI.  SI units per key:
 
     r [m]; f [Hz]; E0 [V/m]; n [rotations, at most MAX_ROTATIONS = 10000,
-    fractional allowed for the closed-form phase]; T2 [s]; D [Hz]; g [-];
+    fractional allowed for the closed-form phase]; T2 [s]; g [-];
     B_z [T]; R2E [Hz/(V/cm)]; tilt [rad]; lag [rad, or "auto" for the
     quadrature lag at E0]; alpha0, alpha1 [mean photons/shot]; N [ensemble
     centers]; seed [non-negative int].
@@ -33,7 +33,6 @@ class ExperimentConfig:
     E0: float = 3.0e7
     n: float = 7.2
     T2: float = 1.8e-3
-    D: float = 2.88e9
     g: float = 2.0
     B_z: float = 1.0e-3
     R2E: float = 20.0
@@ -45,7 +44,7 @@ class ExperimentConfig:
     seed: int = 20260810
 
     def __post_init__(self):
-        positive = ("r", "f", "E0", "T2", "D", "g", "N")
+        positive = ("r", "f", "E0", "T2", "g", "N")
         for key in positive:
             if not getattr(self, key) > 0.0:
                 raise ConfigError(f"config key {key!r} must be positive")
@@ -72,7 +71,7 @@ class ExperimentConfig:
             ) from None
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def _parse_value(key: str, raw: str, line_no: int):
@@ -104,7 +103,7 @@ def load_config(path) -> ExperimentConfig:
         if "=" not in content:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in content.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}")
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate config key {key!r}")

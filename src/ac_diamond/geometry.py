@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,9 @@ STATION_A_ANGLE = -np.pi / 2.0
 
 @dataclass(frozen=True)
 class DiskTrajectory:
-    """Uniform circular motion of the diamond on the disk edge.
+    """Uniform circular motion of the diamond on the disk edge, starting at
+    station A (angle ``STATION_A_ANGLE``) at t = 0, so station crossings
+    happen exactly at multiples of the half period.
 
     ``frequency`` is in rotations per second, counterclockwise positive.
     ``tilt`` rotates the whole disk plane rigidly about the y-axis.
@@ -26,7 +28,6 @@ class DiskTrajectory:
 
     radius: float
     frequency: float
-    initial_angle: float = 0.0
     tilt: float = 0.0
 
     def __post_init__(self):
@@ -61,7 +62,7 @@ def _tilt_matrix(tilt: float) -> np.ndarray:
 
 def position(traj: DiskTrajectory, t) -> np.ndarray:
     """Lab-frame position in metres; vectorised over t (last axis is xyz)."""
-    theta = traj.initial_angle + TWO_PI * traj.frequency * np.asarray(t, dtype=float)
+    theta = STATION_A_ANGLE + TWO_PI * traj.frequency * np.asarray(t, dtype=float)
     flat = traj.radius * np.stack(
         [np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1
     )
@@ -72,7 +73,7 @@ def position(traj: DiskTrajectory, t) -> np.ndarray:
 
 def velocity(traj: DiskTrajectory, t) -> np.ndarray:
     """Analytic time derivative of :func:`position`; |v| = 2*pi*f*r."""
-    theta = traj.initial_angle + TWO_PI * traj.frequency * np.asarray(t, dtype=float)
+    theta = STATION_A_ANGLE + TWO_PI * traj.frequency * np.asarray(t, dtype=float)
     speed = TWO_PI * traj.frequency * traj.radius
     flat = speed * np.stack(
         [-np.sin(theta), np.cos(theta), np.zeros_like(theta)], axis=-1
@@ -84,28 +85,19 @@ def velocity(traj: DiskTrajectory, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Uniform static electric field between idealized infinite plates."""
+    """Uniform static electric field between idealized infinite plates, along
+    +x in the disk plane: E = (magnitude, 0, 0)."""
 
     magnitude: float
-    direction: np.ndarray = field(
-        default_factory=lambda: np.array([1.0, 0.0, 0.0])
-    )
 
     def __post_init__(self):
         if self.magnitude < 0.0:
             raise ValueError("field magnitude must be non-negative")
-        direction = np.asarray(self.direction, dtype=float)
-        if direction.shape != (3,) or abs(np.linalg.norm(direction) - 1.0) > 1e-12:
-            raise ValueError("field direction must be a unit 3-vector")
-        object.__setattr__(self, "direction", direction)
+
+    @property
+    def vector(self) -> np.ndarray:
+        return np.array([self.magnitude, 0.0, 0.0])
 
 
-def station_trajectory(radius: float, frequency: float, tilt: float = 0.0) -> DiskTrajectory:
-    """Trajectory that sits at station A at t = 0, so station crossings happen
-    exactly at multiples of the half period."""
-    return DiskTrajectory(
-        radius=radius,
-        frequency=frequency,
-        initial_angle=STATION_A_ANGLE,
-        tilt=tilt,
-    )
+# every trajectory starts at station A, so station-aligned motion needs no helper
+station_trajectory = DiskTrajectory

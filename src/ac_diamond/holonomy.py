@@ -73,11 +73,14 @@ class Propagator:
     """Unitary result of the path-ordered integration."""
 
     U: np.ndarray
-    dimension: int
 
     def __post_init__(self):
         if unitarity_defect(self.U) >= 1e-10:
             raise ValueError("propagator is not unitary to 1e-10")
+
+    @property
+    def dimension(self) -> int:
+        return self.U.shape[0]
 
     def abelian_phase(self) -> float:
         """Phi such that <m_max|U|m_max> = exp(-i*m_max*Phi) (planar case)."""
@@ -120,7 +123,7 @@ def _coupling_axes(
     (default: all) as an (N, 3) array, so that G = axes . S."""
     traj, cfg = sampling.trajectory, sampling.field
     t_mid = sampling.midpoints(start, stop)
-    e_vec = cfg.magnitude * cfg.direction
+    e_vec = cfg.vector
     v = velocity(traj, t_mid)                      # (N, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         axes = coupling_constant(params) * np.cross(
@@ -242,7 +245,7 @@ def path_ordered_propagator(
     minus reverse is twice the second-order Dyson term to leading order.
     """
     U = _stream_product(sampling, params, dimension, np.zeros(dimension), reverse)
-    return Propagator(U=U, dimension=dimension)
+    return Propagator(U=U)
 
 
 def dyson_second_order(
@@ -292,7 +295,7 @@ def effective_hamiltonian_evolve(
         const_diag = const_diag + np.array([0.0, 0.0, TWO_PI * detuning_hz])
     if quadratic_mass is not None:
         const_diag = const_diag + _quadratic_diagonal_shift(
-            sampling.field.magnitude * sampling.field.direction,
+            sampling.field.vector,
             spin_operators(dimension),
             params,
             quadratic_mass,
@@ -309,6 +312,6 @@ def _nearest_unitary(u: np.ndarray) -> np.ndarray:
     defect adds up along the product (about 2.5e-13 over 1e4 tilted steps), so
     a state carried through many intervals would drift off unit norm.
     """
-    Propagator(U=u, dimension=u.shape[0])
+    Propagator(U=u)
     w, _, vh = np.linalg.svd(u)
     return w @ vh

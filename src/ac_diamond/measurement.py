@@ -147,8 +147,9 @@ def monte_carlo_experiment(
         schedule, traj, FieldConfig(magnitude=e_bias), params, mode="closed_form"
     )
     phi_bias = run.ac_phase
-    # dp1/dphi at the bias point; the envelope multiplies the fringe amplitude.
-    slope = -0.5 * run.coherence * math.sin(phi_bias - schedule.readout_lag)
+    # dp1/dphi at the bias point; the envelope multiplies the fringe amplitude
+    # and the fringe phase carries the final pulse of an even or odd pi count.
+    slope = -0.5 * run.coherence * math.sin(run.fringe_phase)
     if abs(slope) < 1e-12:
         raise NumericPreconditionError(
             "bias point sits at zero fringe slope; phase is not invertible there"

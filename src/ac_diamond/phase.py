@@ -15,22 +15,16 @@ from .errors import NumericPreconditionError
 from .geometry import DiskTrajectory, FieldConfig, position, velocity
 from .physics import C_LIGHT, HBAR, MU_B, NVParameters
 
-Z_HAT = np.array([0.0, 0.0, 1.0])
-
 
 def coupling_constant(params: NVParameters) -> float:
     """g*mu_B/(hbar*c^2) in rad per (V/m * m): the A-C phase per unit of E.dy."""
     return params.g * MU_B / (HBAR * C_LIGHT**2)
 
 
-def _require_planar(traj: DiskTrajectory, cfg: FieldConfig) -> None:
+def _require_planar(traj: DiskTrajectory) -> None:
     if traj.tilt != 0.0:
         raise NumericPreconditionError(
             "closed-form A-C phase requires an untilted (planar) trajectory"
-        )
-    if abs(cfg.direction[2]) > 1e-12:
-        raise NumericPreconditionError(
-            "closed-form A-C phase requires an in-plane field (E_z = 0)"
         )
 
 
@@ -42,13 +36,11 @@ def phase_rate(
 ):
     """Instantaneous A-C phase accumulation rate (rad/s) on the |1> amplitude.
 
-    rate(t) = (g*mu_B/(hbar*c^2)) * (k x E) . v(t); positive while the diamond
-    moves in +y for a field along +x.  Vectorised over t.
+    rate(t) = (g*mu_B/(hbar*c^2)) * (k x E) . v(t), which is E*v_y for the
+    field along +x: positive while the diamond moves in +y.  Vectorised over t.
     """
-    _require_planar(traj, cfg)
-    e_vec = cfg.magnitude * cfg.direction
-    k_cross_e = np.cross(Z_HAT, e_vec)
-    return coupling_constant(params) * (velocity(traj, t) @ k_cross_e)
+    _require_planar(traj)
+    return coupling_constant(params) * (velocity(traj, t)[..., 1] * cfg.magnitude)
 
 
 def segment_phase(
@@ -61,13 +53,11 @@ def segment_phase(
     """A-C phase accumulated between t0 and t1.
 
     The uniform-field line integral depends only on the endpoints:
-    (g*mu_B/(hbar*c^2)) * (k x E) . (r(t1) - r(t0)).
+    (g*mu_B/(hbar*c^2)) * (k x E) . (r(t1) - r(t0)) = ... * E*(y(t1) - y(t0)).
     """
-    _require_planar(traj, cfg)
-    e_vec = cfg.magnitude * cfg.direction
-    k_cross_e = np.cross(Z_HAT, e_vec)
-    displacement = position(traj, t1) - position(traj, t0)
-    return float(coupling_constant(params) * (displacement @ k_cross_e))
+    _require_planar(traj)
+    dy = position(traj, t1)[..., 1] - position(traj, t0)[..., 1]
+    return float(coupling_constant(params) * (dy * cfg.magnitude))
 
 
 def total_rectified_phase(

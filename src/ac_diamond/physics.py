@@ -25,19 +25,16 @@ C_LIGHT = 299792458.0         # speed of light, m/s
 class NVParameters:
     """NV ground-state parameters.
 
-    D and the Stark coefficient are ordinary frequencies; Hamiltonians multiply
-    them by h, not hbar.
+    The Stark coefficient is an ordinary frequency per field; energies
+    multiply it by h, not hbar.
     """
 
-    D: float = 2.88e9        # zero-field splitting, Hz
     g: float = 2.0           # gyromagnetic factor
     R2E: float = 20.0        # ground-state Stark coefficient, Hz/(V/cm)
     T2: float = 1.8e-3       # homogeneous dephasing time, s
     B_z: float = 0.0         # axial magnetic field, T
 
     def __post_init__(self):
-        if self.D <= 0.0:
-            raise ValueError("zero-field splitting D must be positive")
         if self.T2 <= 0.0:
             raise ValueError("dephasing time T2 must be positive")
         if self.g <= 0.0:

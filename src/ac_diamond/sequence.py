@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericPreconditionError
-from .geometry import STATION_A_ANGLE, DiskTrajectory, FieldConfig
+from .geometry import DiskTrajectory, FieldConfig
 from .holonomy import PathSampling, effective_hamiltonian_evolve
 from .phase import segment_phase, total_rectified_phase
 from .physics import (
@@ -36,6 +36,7 @@ from .physics import (
 
 MAX_ROTATIONS = 10_000  # a schedule fires 2n pi pulses and the walk 2n segments
 MAX_PHASE_ULP = 1e-6  # rad; coarsest phase spacing the closed form may pass to cos
+FRINGE_SNAP = 1e-10  # p1 this close to 1/2 counts as on the fringe zero
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,15 @@ class RunResult:
     relative coherence phase (A-C plus detuning) in oracle mode.
     ``static_phase`` is the net non-A-C (detuning) phase at readout; it is
     tracked exactly by the closed form and None in oracle mode.
+    ``fringe_phase`` is the closed form's cosine argument, so that
+    p1 = 1/2*(1 + coherence*cos(fringe_phase)); None in oracle mode.
     """
 
     p1: float
     ac_phase: float
     coherence: float
     static_phase: float | None = None
+    fringe_phase: float | None = None
 
     def __post_init__(self):
         _require_population(self.p1)
@@ -149,11 +153,6 @@ def optimal_readout_lag(phi_max: float) -> float:
 def _validate_run_inputs(schedule: EchoSchedule, traj: DiskTrajectory) -> None:
     if abs(traj.frequency - schedule.frequency) > 1e-9 * abs(schedule.frequency):
         raise ValueError("trajectory and schedule disagree on rotation frequency")
-    offset = (traj.initial_angle - STATION_A_ANGLE) % TWO_PI
-    if min(offset, TWO_PI - offset) > 1e-9:
-        raise ValueError(
-            "trajectory must start at station A so pulses land on station crossings"
-        )
 
 
 def simulate_run(
@@ -184,6 +183,7 @@ def simulate_run(
             ac_phase=walk[0],
             coherence=coherence,
             static_phase=walk[1],
+            fringe_phase=walk[0] + walk[1] + walk[2],  # _echo_p1's total at scale 1
         )
     _validate_run_inputs(schedule, traj)
     return _run_oracle(
@@ -334,15 +334,15 @@ def sweep_signal(
     )
 
 
-def fringe_zero_crossings(p1_values, snap_tol: float = 1e-10) -> int:
+def fringe_zero_crossings(p1_values) -> int:
     """Count sign changes of p1 - 1/2 along the grid.
 
-    Values within ``snap_tol`` of 1/2 are treated as exactly on the fringe
+    Values within ``FRINGE_SNAP`` of 1/2 are treated as exactly on the fringe
     zero, and a terminal zero (the quadrature endpoint of an auto-lag sweep)
     counts as one crossing.
     """
     z = np.asarray(p1_values, dtype=float) - 0.5
-    z[np.abs(z) < snap_tol] = 0.0
+    z[np.abs(z) < FRINGE_SNAP] = 0.0
     crossings = 0
     prev = 0.0
     pending_zero = False

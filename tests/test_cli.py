@@ -221,6 +221,13 @@ class TestErrors:
         assert main(["phase", "--config", str(cfg)]) == 2
         assert "'r'" in capsys.readouterr().err
 
+    def test_zero_field_splitting_key_is_unknown(self, tmp_path, capsys):
+        # D never entered a rotating-frame result, so it is no longer a key
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("D = 2.88e9\n")
+        assert main(["phase", "--config", str(cfg)]) == 2
+        assert "unknown config key 'D'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv, config_text",

@@ -1,12 +1,16 @@
 """Tests for the line-based configuration format."""
 
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from ac_diamond.config import AUTO_LAG, ExperimentConfig, load_config
 from ac_diamond.errors import ConfigError
 from ac_diamond.sequence import MAX_ROTATIONS
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
 
 def write(tmp_path, text):
@@ -28,7 +32,20 @@ class TestDefaults:
     def test_default_instance_is_reference_parameters(self):
         cfg = ExperimentConfig()
         assert (cfg.r, cfg.f, cfg.E0, cfg.T2) == (0.01, 4000.0, 3.0e7, 1.8e-3)
-        assert cfg.D == 2.88e9 and cfg.g == 2.0
+        assert (cfg.g, cfg.B_z, cfg.R2E) == (2.0, 1.0e-3, 20.0)
+
+    def test_shipped_default_config_is_the_default_instance(self):
+        assert load_config(DEFAULT_CFG) == ExperimentConfig()
+
+    def test_shipped_default_config_sets_and_documents_every_key(self):
+        keys = {f.name for f in fields(ExperimentConfig)}
+        lines = DEFAULT_CFG.read_text().splitlines()
+        assigned = {line.split("=")[0].strip() for line in lines
+                    if line and not line.startswith("#")}
+        documented = {line.split()[1] for line in lines if line.startswith("#   ")
+                      and line.split()[1] in keys}
+        assert assigned == keys
+        assert documented == keys
 
 
 class TestParsing:

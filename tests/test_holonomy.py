@@ -103,7 +103,7 @@ class TestCouplingGenerator:
         mu = PARAMS.g * MU_B
         scale = (mu * 3e7) ** 2 / (2.0 * mass * C_LIGHT**4 * HBAR)
         shift = _quadratic_diagonal_shift(
-            FIELD.magnitude * FIELD.direction, spin_operators(3), PARAMS, mass
+            FIELD.vector, spin_operators(3), PARAMS, mass
         )
         assert shift == pytest.approx(scale * np.array([-0.5, 0.0, -0.5]), rel=1e-12)
 
@@ -196,7 +196,7 @@ class TestPathOrderedPropagator:
 
     def test_nonunitary_matrix_rejected(self):
         with pytest.raises(ValueError):
-            Propagator(U=np.diag([1.0, 1.0, 2.0]).astype(complex), dimension=3)
+            Propagator(U=np.diag([1.0, 1.0, 2.0]).astype(complex))
 
 
 class TestStreamingStepper:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ac_diamond.errors import NumericPreconditionError
-from ac_diamond.geometry import DiskTrajectory, FieldConfig, station_trajectory
+from ac_diamond.geometry import DiskTrajectory, FieldConfig, position, station_trajectory
 from ac_diamond.phase import (
     coupling_constant,
     phase_rate,
@@ -52,10 +52,15 @@ class TestPhaseRate:
             phase_rate(0.0, tilted, FIELD, PARAMS)
 
     def test_sign_flips_with_rotation_sense(self):
+        # both senses leave station A moving +y; compare them where they pass
+        # the same rim point (+r, 0) at full speed: a quarter period after
+        # station A counterclockwise, three quarters clockwise
         ccw = DiskTrajectory(radius=0.01, frequency=4000.0)
         cw = DiskTrajectory(radius=0.01, frequency=-4000.0)
-        r1 = phase_rate(0.0, ccw, FIELD, PARAMS)
-        r2 = phase_rate(0.0, cw, FIELD, PARAMS)
+        quarter = HALF / 2.0
+        assert np.allclose(position(ccw, quarter), position(cw, 3.0 * quarter), atol=1e-15)
+        r1 = phase_rate(quarter, ccw, FIELD, PARAMS)
+        r2 = phase_rate(3.0 * quarter, cw, FIELD, PARAMS)
         assert r1 > 0.0 and r2 < 0.0
         assert r1 == pytest.approx(-r2, rel=1e-12)
 

@@ -31,12 +31,11 @@ class TestConstants:
 class TestNVParameters:
     def test_defaults_valid(self):
         params = NVParameters()
-        assert params.D == 2.88e9
-        assert params.g == 2.0
+        assert (params.g, params.R2E, params.T2, params.B_z) == (2.0, 20.0, 1.8e-3, 0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(D=0.0), dict(T2=0.0), dict(g=-1.0), dict(B_z=-1e-4), dict(R2E=-1.0)],
+        [dict(T2=0.0), dict(g=-1.0), dict(B_z=-1e-4), dict(R2E=-1.0)],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

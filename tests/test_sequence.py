@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ac_diamond.cli import ECHO_DETUNINGS, main
 from ac_diamond.errors import NumericPreconditionError
-from ac_diamond.geometry import DiskTrajectory, FieldConfig, station_trajectory
+from ac_diamond.geometry import FieldConfig, station_trajectory
 from ac_diamond.phase import total_rectified_phase
 from ac_diamond.physics import NVParameters
 from ac_diamond.sequence import (
@@ -120,12 +120,6 @@ class TestSimulateRunClosedForm:
         sched = build_echo_schedule(1, 2000.0)
         with pytest.raises(ValueError):
             simulate_run(sched, TRAJ, FIELD, PARAMS)
-
-    def test_rejects_misaligned_start(self):
-        traj = DiskTrajectory(radius=RADIUS, frequency=FREQ, initial_angle=0.0)
-        sched = build_echo_schedule(1, FREQ)
-        with pytest.raises(ValueError):
-            simulate_run(sched, traj, FIELD, PARAMS)
 
     def test_envelope_scales_fringe_only(self):
         lag = 0.4
