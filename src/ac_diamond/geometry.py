@@ -86,17 +86,15 @@ def velocity(traj: DiskTrajectory, t) -> np.ndarray:
 @dataclass(frozen=True)
 class FieldConfig:
     """Uniform static electric field between idealized infinite plates, along
-    +x in the disk plane: E = (magnitude, 0, 0)."""
+    +x in the disk plane: E = (magnitude, 0, 0).  Only the magnitude is
+    stored; every consumer writes the fixed direction into its formula, e.g.
+    the coupling axis k*E*(0, -v_z, v_y) and the field operator E*Sx."""
 
     magnitude: float
 
     def __post_init__(self):
         if self.magnitude < 0.0:
             raise ValueError("field magnitude must be non-negative")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.magnitude, 0.0, 0.0])
 
 
 # every trajectory starts at station A, so station-aligned motion needs no helper

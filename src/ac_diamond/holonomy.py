@@ -19,12 +19,14 @@ propagator exactly and show nothing.
 
 The propagator and the state oracle share one stepper,
 :func:`_stream_product`.  It walks the midpoint grid in blocks of
-``_CHUNK_STEPS`` steps, so memory does not grow with the step count.  While
-every coupling axis k*(E x v) lies exactly along z (planar motion) it works
-on the (N, 3) axes alone: G = a_z*Sz, so it bounds the step by |a_z|*max|m|
-and sums a_z, and never builds a (N, dim, dim) generator stack, exponentiates
-or multiplies matrices.  For planar motion the forward and reverse products
-are therefore bitwise equal.
+``_CHUNK_STEPS`` steps, so memory does not grow with the step count, and it
+chooses its path once, from the disk tilt.  The field lies along x, so the
+coupling axis k*(E x v) is k*E*(0, -v_z, v_y).  For an untilted disk (or a
+zero field) it lies exactly along z, G = a_z*Sz, and the stepper sums the midpoint rates a_z
+without building a (N, dim, dim) generator stack, exponentiating or
+multiplying matrices; the forward and reverse products are therefore bitwise
+equal.  A tilted disk's step exponentials are multiplied out from the first
+block on.
 """
 
 from __future__ import annotations
@@ -98,18 +100,19 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
 
 
-def _quadratic_diagonal_shift(e_vec, ops, params, mass) -> np.ndarray:
-    """Diagonal of (mu^2 E^2 - (mu S x E)^2)/(2 m c^4 hbar) in rad/s, mu = g*mu_B.
+def _quadratic_diagonal_shift(magnitude, ops, params, mass) -> np.ndarray:
+    """Diagonal of (mu^2 E^2 - (mu S x E)^2)/(2 m c^4 hbar) in rad/s, mu = g*mu_B,
+    for the field E = (magnitude, 0, 0).
 
     These are the two quadratic-in-E Hamiltonian terms dropped from the
     coupling; only their level shifts (the echo-cancellable part) are kept.
-    For a c-number E, (S x E)^2 = s(s+1) E^2 - (E.S)^2.
+    For a c-number E, (S x E)^2 = s(s+1) E^2 - (E.S)^2, and E.S = E*Sx.
     """
     mu = params.g * MU_B
     dim = ops.shape[1]
     casimir = (dim * dim - 1) / 4.0  # s(s+1) for spin s = (dim - 1)/2
-    e_dot_s = np.tensordot(e_vec, ops, axes=1)
-    full = (e_vec @ e_vec) * (1.0 - casimir) * np.eye(dim) + e_dot_s @ e_dot_s
+    e_dot_s = magnitude * ops[0]
+    full = (magnitude * magnitude) * (1.0 - casimir) * np.eye(dim) + e_dot_s @ e_dot_s
     return mu * mu * np.real(np.diag(full)) / (2.0 * mass * C_LIGHT**4 * HBAR)
 
 
@@ -119,21 +122,24 @@ def _coupling_axes(
     start: int = 0,
     stop: int | None = None,
 ) -> np.ndarray:
-    """Coupling axes k*(E x v) [rad/s] at the midpoints of steps start..stop-1
-    (default: all) as an (N, 3) array, so that G = axes . S."""
-    traj, cfg = sampling.trajectory, sampling.field
-    t_mid = sampling.midpoints(start, stop)
-    e_vec = cfg.vector
-    v = velocity(traj, t_mid)                      # (N, 3)
+    """Coupling axes k*(E x v) = k*E*(0, -v_z, v_y) [rad/s] at the midpoints of
+    steps start..stop-1 (default: all) as an (N, 3) array, so that G = axes . S."""
+    v = velocity(sampling.trajectory, sampling.midpoints(start, stop))
+    e_cross_v = np.zeros_like(v)
+    e_cross_v[:, 1] = -v[:, 2]
+    e_cross_v[:, 2] = v[:, 1]
+    return _times_coupling(e_cross_v, sampling, params)
+
+
+def _times_coupling(components, sampling, params) -> np.ndarray:
+    """k*(E*components) [rad/s]; refuses a result that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        axes = coupling_constant(params) * np.cross(
-            np.broadcast_to(e_vec, v.shape), v
-        )
-    if not np.all(np.isfinite(axes)):
+        scaled = coupling_constant(params) * (sampling.field.magnitude * components)
+    if not np.all(np.isfinite(scaled)):
         raise NumericPreconditionError(
             "coupling axis k*(E x v) is not finite: field or velocity too large"
         )
-    return axes
+    return scaled
 
 
 def _spin_generators(axes: np.ndarray, dimension: int) -> np.ndarray:
@@ -185,37 +191,39 @@ def _stream_product(
     """Ordered product of the midpoint step exponentials of G(t) + diag(const_diag),
     walked in blocks of ``_CHUNK_STEPS`` steps.
 
-    While every coupling axis seen so far lies exactly along z, every G is
-    a_z*Sz (``spin_operators`` keeps Sx and Sy zero on the diagonal), the steps
-    commute, and their product collapses exactly to one exponential of the
-    summed phases m*sum(a_z)*dt; this works on the (N, 3) axes alone, keeps the
-    result diagonal and at unit modulus, and never builds or diagonalises a
-    step.  From the first block with a nonzero x or y component on, each
-    block's step exponentials are multiplied out and folded into a running
-    product, in path order or (``reverse``) anti-path order.  The per-step
-    rotation bound applies to the motional coupling; the constant diagonal
-    rates are exponentiated exactly at any step size while diagonal, and join
-    the bound check once they enter the step exponentials.
+    An untilted disk (or a zero field) has every coupling axis exactly along
+    z, so every G is a_z*Sz (``spin_operators`` keeps Sx and Sy zero on the
+    diagonal), the steps commute, and their product collapses exactly to one
+    exponential of the summed phases m*sum(a_z)*dt; this sums the midpoint
+    rates alone, keeps the result diagonal and at unit modulus, never builds
+    or diagonalises a step, and exponentiates the constant diagonal rates
+    exactly at any step size.  A tilted disk's step exponentials are
+    multiplied out block by block and folded into a running product, in path
+    order or (``reverse``) anti-path order; there the per-step rotation bound
+    covers the constant diagonal rates as well as the motional coupling.
     """
     dt = sampling.dt
-    m = np.real(np.diag(spin_operators(dimension)[2]))
-    m_max = float(np.max(np.abs(m)))
-    rate_z = 0.0  # summed z axis components of the diagonal prefix
-    product = None
-    for start in range(0, sampling.steps, _CHUNK_STEPS):
-        stop = min(start + _CHUNK_STEPS, sampling.steps)
-        axes = _coupling_axes(sampling, params, start, stop)
-        if product is None and not np.any(axes[:, :2]):
+    blocks = [
+        (start, min(start + _CHUNK_STEPS, sampling.steps))
+        for start in range(0, sampling.steps, _CHUNK_STEPS)
+    ]
+    if sampling.trajectory.tilt == 0.0 or sampling.field.magnitude == 0.0:
+        m = np.real(np.diag(spin_operators(dimension)[2]))
+        m_max = float(np.max(np.abs(m)))
+        rate_z = 0.0
+        for start, stop in blocks:
+            # k*(v_y*E): the midpoint rate ac_diamond.phase.phase_rate defines
+            v = velocity(sampling.trajectory, sampling.midpoints(start, stop))
+            a_z = _times_coupling(v[:, 1], sampling, params)
             # ||a_z*Sz|| = |a_z|*max|m|: the row-sum bound of the diagonal G
-            a_z = np.ascontiguousarray(axes[:, 2])  # one contiguous row, summed pairwise
             _check_step_bound(dt * (float(np.max(np.abs(a_z))) * m_max))
             rate_z += a_z.sum()
-            continue
-        gens = _spin_generators(axes, dimension)
+        span = sampling.t_end - sampling.t_start
+        return np.diag(np.exp(-1j * (dt * (m * rate_z) + const_diag * span)))
+    product = np.eye(dimension, dtype=complex)
+    for start, stop in blocks:
+        gens = _spin_generators(_coupling_axes(sampling, params, start, stop), dimension)
         _check_step_resolution(gens, dt)
-        if product is None:
-            # the diagonal prefix of steps 0..start-1, collapsed exactly
-            product = np.diag(np.exp(-1j * (dt * (m * rate_z) + const_diag * (start * dt))))
         if np.any(const_diag):
             # the whole generator must satisfy the per-step rotation bound
             gens = gens + np.diag(const_diag)
@@ -225,9 +233,6 @@ def _stream_product(
             product = product @ _ordered_product(steps[::-1])
         else:
             product = _ordered_product(steps) @ product
-    if product is None:
-        span = sampling.t_end - sampling.t_start
-        product = np.diag(np.exp(-1j * (dt * (m * rate_z) + const_diag * span)))
     return product
 
 
@@ -295,7 +300,7 @@ def effective_hamiltonian_evolve(
         const_diag = const_diag + np.array([0.0, 0.0, TWO_PI * detuning_hz])
     if quadratic_mass is not None:
         const_diag = const_diag + _quadratic_diagonal_shift(
-            sampling.field.vector,
+            sampling.field.magnitude,
             spin_operators(dimension),
             params,
             quadratic_mass,

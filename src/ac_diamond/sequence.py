@@ -338,29 +338,18 @@ def fringe_zero_crossings(p1_values) -> int:
     """Count sign changes of p1 - 1/2 along the grid.
 
     Values within ``FRINGE_SNAP`` of 1/2 are treated as exactly on the fringe
-    zero, and a terminal zero (the quadrature endpoint of an auto-lag sweep)
-    counts as one crossing.
+    zero.  A run of zeros between two points on the same side (the curve
+    touched the line and came back) and a terminal zero (the quadrature
+    endpoint of an auto-lag sweep) each count as one crossing.
     """
     z = np.asarray(p1_values, dtype=float) - 0.5
     z[np.abs(z) < FRINGE_SNAP] = 0.0
-    crossings = 0
-    prev = 0.0
-    pending_zero = False
-    for value in z:
-        s = np.sign(value)
-        if s == 0.0:
-            pending_zero = True
-            continue
-        if prev != 0.0:
-            if s != prev:
-                crossings += 1
-            elif pending_zero:
-                crossings += 1  # touched the zero line and came back
-        prev = s
-        pending_zero = False
-    if pending_zero and prev != 0.0:
-        crossings += 1
-    return crossings
+    signs = np.sign(z)
+    off_zero = np.flatnonzero(signs)
+    # consecutive off-zero points change sign, or touch the zero line between
+    changes = (signs[off_zero[1:]] != signs[off_zero[:-1]]) | (np.diff(off_zero) > 1)
+    trailing_zero = off_zero.size > 0 and off_zero[-1] < z.size - 1
+    return int(np.count_nonzero(changes)) + int(trailing_zero)
 
 
 @dataclass(frozen=True)

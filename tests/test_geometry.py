@@ -112,9 +112,6 @@ class TestField:
         with pytest.raises(ValueError):
             FieldConfig(magnitude=-1.0)
 
-    def test_field_lies_along_x(self):
-        assert FieldConfig(magnitude=3e7).vector.tolist() == [3e7, 0.0, 0.0]
-
 
 class TestStations:
     def test_default_on_y_extremes(self):

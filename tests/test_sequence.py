@@ -14,6 +14,7 @@ from ac_diamond.geometry import FieldConfig, station_trajectory
 from ac_diamond.phase import total_rectified_phase
 from ac_diamond.physics import NVParameters
 from ac_diamond.sequence import (
+    FRINGE_SNAP,
     MAX_ROTATIONS,
     EchoSchedule,
     build_echo_schedule,
@@ -411,7 +412,44 @@ class TestSweepEngine:
             assert run.p1 == base.p1
 
 
+def loop_crossings(p1_values):
+    """Point-by-point reference count for fringe_zero_crossings."""
+    z = np.asarray(p1_values, dtype=float) - 0.5
+    z[np.abs(z) < FRINGE_SNAP] = 0.0
+    crossings = 0
+    prev = 0.0
+    pending_zero = False
+    for value in z:
+        s = np.sign(value)
+        if s == 0.0:
+            pending_zero = True
+            continue
+        if prev != 0.0:
+            if s != prev:
+                crossings += 1
+            elif pending_zero:
+                crossings += 1  # touched the zero line and came back
+        prev = s
+        pending_zero = False
+    if pending_zero and prev != 0.0:
+        crossings += 1
+    return crossings
+
+
 class TestFringeCrossingCounter:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                [0.5, 0.5 + 0.5 * FRINGE_SNAP, 0.5 - 0.5 * FRINGE_SNAP,
+                 0.5 + 2.0 * FRINGE_SNAP, 0.5 - 2.0 * FRINGE_SNAP, 0.1, 0.9, math.nan]
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_the_point_by_point_count(self, values):
+        assert fringe_zero_crossings(values) == loop_crossings(values)
+
     def test_simple_sine(self):
         x = np.linspace(0.0, 4.0 * math.pi, 400)
         assert fringe_zero_crossings(0.5 + 0.4 * np.sin(x + 0.1)) == 4
