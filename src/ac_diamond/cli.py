@@ -10,36 +10,65 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
+import numbers
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import AUTO_LAG, ExperimentConfig, load_config
 from .errors import ConfigError, NumericPreconditionError
-from .geometry import FieldConfig, station_trajectory
-from .holonomy import PathSampling, path_ordered_propagator, unitarity_defect
-from .measurement import ReadoutModel, contrast, monte_carlo_experiment, sensitivity_report
-from .phase import segment_phase, total_rectified_phase
-from .physics import NVParameters
-from .sequence import (
-    build_echo_schedule,
-    fringe_zero_crossings,
-    optimal_readout_lag,
-    simulate_run,
-    stark_shift,
-    sweep_signal,
+from .physics import (
+    NVParameters, ReadoutModel, contrast, sensitivity_report, stark_shift,
+    total_rectified_phase,
 )
+
+# These subcommands compute Python floats only, and never import numpy.
+SCALAR_COMMANDS = ("phase", "sensitivity", "stark")
+# The other subcommands' names, by defining module.  A name is imported on
+# first attribute access (``__getattr__``), or by ``main`` before such a
+# subcommand runs; a name already set on this module, e.g. by a tracer or a
+# test double, is kept.
+_LAZY = {
+    "np": "numpy",
+    "FieldConfig": ".geometry",
+    "station_trajectory": ".geometry",
+    "PathSampling": ".holonomy",
+    "path_ordered_propagator": ".holonomy",
+    "unitarity_defect": ".holonomy",
+    "monte_carlo_experiment": ".measurement",
+    "segment_phase": ".phase",
+    "build_echo_schedule": ".sequence",
+    "fringe_zero_crossings": ".sequence",
+    "optimal_readout_lag": ".sequence",
+    "simulate_run": ".sequence",
+    "sweep_signal": ".sequence",
+}
 
 CSV_VERSION = "# ac-diamond csv v1"
 MC_SHOT_LADDER = (2500, 10000, 40000)
 ECHO_DETUNINGS = (0.0, 1.0e4, 1.0e5, 1.0e6, 1.0e7)
 
 
+def __getattr__(name):
+    """Import one of the numpy subcommands' names on first access (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(_LAZY[name], __package__)
+    value = globals()[name] = module if name == "np" else getattr(module, name)
+    return value
+
+
+def _bind_lazy() -> None:
+    """Bind every lazy name not yet set, so that global lookups find them."""
+    for name in _LAZY:
+        if name not in globals():
+            __getattr__(name)
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return f"{float(value):.17g}"
 
@@ -316,6 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command in SCALAR_COMMANDS:
+            # Python floats, which check their own overflow: no numpy needed
+            return args.func(args)
+        _bind_lazy()
         # a float overflow, 0/0 or x/0 is a numeric precondition violation
         # (exit 3), not a warning printed before inf/NaN output
         with np.errstate(over="raise", divide="raise", invalid="raise"):

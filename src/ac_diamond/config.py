@@ -12,9 +12,22 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .sequence import MAX_ROTATIONS, integer_rotations
 
 AUTO_LAG = "auto"
+MAX_ROTATIONS = 10_000  # a schedule fires 2n pi pulses and the walk 2n segments
+
+
+def integer_rotations(n) -> int:
+    """The rotation count n as an int; schedules need a positive integer of at
+    most ``MAX_ROTATIONS``."""
+    if float(n) > MAX_ROTATIONS:
+        raise ValueError(f"rotation count {n!r} exceeds the cap of {MAX_ROTATIONS}")
+    n_int = int(round(float(n)))
+    if abs(float(n) - n_int) > 1e-12 or n_int < 1:
+        raise ValueError(
+            f"echo schedules need a positive integer rotation count, got {n!r}"
+        )
+    return n_int
 
 
 @dataclass(frozen=True)

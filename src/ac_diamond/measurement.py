@@ -1,10 +1,10 @@
-"""Readout statistics: contrast, analytic sensitivity, Monte Carlo photon counts.
+"""Readout statistics: the Monte Carlo photon-count experiment.
 
 Shot noise (finite photon collection) and spin projection noise both follow
-Poisson statistics; the contrast factor folds them into a single per-shot
-quality number.  At a quadrature bias point the per-shot phase variance is
-exactly 1/(C^2 * exp(-2*t_r/T2)), which is what ties the analytic formulas to
-the Monte Carlo experiment.
+Poisson statistics; the contrast factor (:func:`ac_diamond.physics.contrast`)
+folds them into a single per-shot quality number.  At a quadrature bias point
+the per-shot phase variance is exactly 1/(C^2 * exp(-2*t_r/T2)), which is what
+ties the analytic formulas to the Monte Carlo experiment.
 """
 
 from __future__ import annotations
@@ -16,96 +16,9 @@ import numpy as np
 
 from .errors import NumericPreconditionError
 from .geometry import DiskTrajectory, FieldConfig
-from .physics import NVParameters
+from .physics import NVParameters, ReadoutModel
+from .physics import contrast  # noqa: F401  (callers import it from here)
 from .sequence import EchoSchedule, simulate_run
-
-
-@dataclass(frozen=True)
-class ReadoutModel:
-    """Mean detected photons per shot for the two fringe states."""
-
-    alpha0: float  # mean counts when the spin is read out in |0>
-    alpha1: float  # mean counts when the spin is read out in |1>
-
-    def __post_init__(self):
-        if self.alpha1 < 0.0 or not self.alpha0 > self.alpha1:
-            raise ValueError("readout model needs alpha0 > alpha1 >= 0")
-
-
-def contrast(model: ReadoutModel) -> float:
-    """Combined shot- plus projection-noise contrast factor
-
-        C = [1 + 2*(alpha0 + alpha1)/(alpha0 - alpha1)^2]^(-1/2),
-
-    approaching 1 in the bright, well-separated limit and ~0.05 for typical
-    single-NV collection efficiencies.
-    """
-    diff = model.alpha0 - model.alpha1
-    if diff == 0.0:
-        raise ValueError("alpha0 = alpha1 gives zero contrast")
-    square = diff * diff  # inf for huge counts (C -> 1), where diff**2 raises
-    noise = 2.0 * (model.alpha0 + model.alpha1) / square if square else math.inf
-    c_factor = (1.0 + noise) ** -0.5
-    if not c_factor > 0.0:
-        raise NumericPreconditionError(
-            f"contrast of alpha0 = {model.alpha0!r}, alpha1 = {model.alpha1!r} "
-            "underflows or is undefined"
-        )
-    return c_factor
-
-
-def analytic_sensitivity(c_factor: float, t2: float) -> float:
-    """Phase sensitivity sqrt(2)/(C*sqrt(T2)) in rad/sqrt(Hz).
-
-    Operational meaning: the phase uncertainty after total measurement time T
-    is eta/sqrt(T), with each run lasting t_r = T2.
-    """
-    if not 0.0 < c_factor <= 1.0:
-        raise ValueError("contrast must lie in (0, 1]")
-    if t2 <= 0.0:
-        raise ValueError("T2 must be positive")
-    return math.sqrt(2.0) / (c_factor * math.sqrt(t2))
-
-
-def time_to_precision(eta: float, delta_phi: float) -> float:
-    """Total measurement time (s) to reach phase uncertainty delta_phi."""
-    if eta <= 0.0 or delta_phi <= 0.0:
-        raise ValueError("eta and delta_phi must be positive")
-    ratio = eta / delta_phi
-    return ratio * ratio  # inf rather than the OverflowError of ratio**2
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Single-center and ensemble sensitivity figures."""
-
-    C: float
-    T2: float
-    eta: float
-    N: float
-    eta_ensemble: float
-    T_to_1rad: float
-
-    def __post_init__(self):
-        for name in ("C", "T2", "eta", "N", "eta_ensemble", "T_to_1rad"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if abs(self.eta_ensemble - self.eta / math.sqrt(self.N)) > 1e-12 * self.eta_ensemble:
-            raise ValueError("eta_ensemble must equal eta/sqrt(N)")
-
-
-def sensitivity_report(c_factor: float, t2: float, ensemble_size: float) -> SensitivityReport:
-    """Assemble the sensitivity figures: eta, sqrt(N) ensemble gain, and the
-    time to pin the phase to one radian."""
-    eta = analytic_sensitivity(c_factor, t2)
-    return SensitivityReport(
-        C=c_factor,
-        T2=t2,
-        eta=eta,
-        N=ensemble_size,
-        eta_ensemble=eta / math.sqrt(ensemble_size),
-        T_to_1rad=time_to_precision(eta, 1.0),
-    )
 
 
 @dataclass(frozen=True)

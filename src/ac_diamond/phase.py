@@ -9,11 +9,10 @@ rectified total over n rotations is 4*g*mu_B*r*E*n/(hbar*c^2).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import NumericPreconditionError
 from .geometry import DiskTrajectory, FieldConfig, position, velocity
 from .physics import C_LIGHT, HBAR, MU_B, NVParameters
+from .physics import total_rectified_phase  # noqa: F401  (callers import it from here)
 
 
 def coupling_constant(params: NVParameters) -> float:
@@ -58,30 +57,3 @@ def segment_phase(
     _require_planar(traj)
     dy = position(traj, t1)[..., 1] - position(traj, t0)[..., 1]
     return float(coupling_constant(params) * (dy * cfg.magnitude))
-
-
-def total_rectified_phase(
-    radius: float,
-    e_field: float,
-    n_rotations: float,
-    g: float,
-) -> float:
-    """Total pi-pulse-rectified A-C phase 4*g*mu_B*r*E*n/(hbar*c^2).
-
-    Fractional n is allowed for diagnostics; the closed form matches the echo
-    simulation only at integer n (station-aligned readout).  Any argument may
-    be a numpy array; scalar arguments give a float.  A phase too large for a
-    float is refused.
-    """
-    if np.any(radius < 0.0):
-        raise ValueError("radius must be non-negative")
-    if np.any(e_field < 0.0):
-        raise ValueError("field magnitude must be non-negative")
-    if np.any(n_rotations < 0.0):
-        raise ValueError("rotation count must be non-negative")
-    phase = 4.0 * g * MU_B * radius * e_field * n_rotations / (HBAR * C_LIGHT**2)
-    if not np.all(np.isfinite(phase)):
-        raise NumericPreconditionError(
-            "total rectified A-C phase is not finite: g*r*E*n too large"
-        )
-    return phase

@@ -1,18 +1,19 @@
-"""SI constants, NV ground-state parameters, the spin-matrix stack and qubit rotations.
+"""SI constants, NV ground-state parameters, and the closed-form figures.
 
-Basis convention used throughout the package: amplitude vectors and operator
-matrices are indexed by ascending magnetic quantum number, i.e. (|-1>, |0>, |+1>)
-for spin-1 and (|-1/2>, |+1/2>) for spin-1/2.  The NV qubit lives on the
-{|0>, |1>} subspace (indices 1 and 2 of a spin-1 vector).
+Everything here is plain Python floats: the total rectified A-C phase, the
+adiabatic Stark shift and the readout contrast and sensitivity.  The module
+imports no numpy, so the ``phase``, ``stark`` and ``sensitivity`` subcommands,
+which need nothing else, start without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
+from .errors import NumericPreconditionError
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 # SI constants; h is exact in the 2019 SI and hbar is derived from it.
 H_PLANCK = 6.62607015e-34     # J*s
@@ -45,70 +46,171 @@ class NVParameters:
             raise ValueError("Stark coefficient R2E must be non-negative")
 
 
-def spin_operators(dimension: int) -> np.ndarray:
-    """Spin matrices (Sx, Sy, Sz) in units of hbar as a (3, dim, dim) stack,
-    for spin-1/2 (dimension=2) or spin-1 (dimension=3).
+def _any(flags) -> bool:
+    """np.any without numpy: an array or numpy scalar reduces itself, a bool is kept."""
+    return bool(flags.any()) if hasattr(flags, "any") else bool(flags)
 
-    Built from the ladder operators in the Sz eigenbasis ordered by ascending m,
-    so Sz = diag(m) with m = -s..+s.
+
+def _all(flags) -> bool:
+    """np.all without numpy: an array or numpy scalar reduces itself, a bool is kept."""
+    return bool(flags.all()) if hasattr(flags, "all") else bool(flags)
+
+
+def total_rectified_phase(
+    radius: float,
+    e_field: float,
+    n_rotations: float,
+    g: float,
+) -> float:
+    """Total pi-pulse-rectified A-C phase 4*g*mu_B*r*E*n/(hbar*c^2).
+
+    Fractional n is allowed for diagnostics; the closed form matches the echo
+    simulation only at integer n (station-aligned readout).  Any argument may
+    be a numpy array; scalar arguments give a float.  A phase too large for a
+    float is refused.
     """
-    if dimension not in (2, 3):
-        raise ValueError(f"unsupported spin dimension {dimension}; expected 2 or 3")
-    s = (dimension - 1) / 2.0
-    m = np.arange(dimension) - s
-    sz = np.diag(m).astype(complex)
-    # (S+)_{m+1,m} = sqrt(s(s+1) - m(m+1))
-    raising = np.zeros((dimension, dimension), dtype=complex)
-    for k in range(dimension - 1):
-        raising[k + 1, k] = np.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
-    sx = (raising + raising.conj().T) / 2.0
-    sy = (raising - raising.conj().T) / 2j
-    return np.stack([sx, sy, sz])
+    if _any(radius < 0.0):
+        raise ValueError("radius must be non-negative")
+    if _any(e_field < 0.0):
+        raise ValueError("field magnitude must be non-negative")
+    if _any(n_rotations < 0.0):
+        raise ValueError("rotation count must be non-negative")
+    phase = 4.0 * g * MU_B * radius * e_field * n_rotations / (HBAR * C_LIGHT**2)
+    if not _all(abs(phase) < math.inf):  # False at NaN as well, like np.isfinite
+        raise NumericPreconditionError(
+            "total rectified A-C phase is not finite: g*r*E*n too large"
+        )
+    return phase
 
 
 @dataclass(frozen=True)
-class SpinState:
-    """Normalized complex amplitudes over the ascending-m basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size not in (2, 3):
-            raise ValueError("amplitudes must be a complex vector of length 2 or 3")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def ground(cls) -> "SpinState":
-        """The optically pumped |0> state of the spin-1 ground triplet."""
-        return cls(np.array([0.0, 1.0, 0.0], dtype=complex))
-
-    def population(self, m: int) -> float:
-        """Population of the Sz eigenstate with magnetic quantum number m."""
-        idx = {-1: 0, 0: 1, 1: 2}[m]
-        return float(np.abs(self.amplitudes[idx]) ** 2)
+class StarkReport:
+    coupling_hz: float
+    zeeman_splitting_hz: float
+    shift_hz: float
+    modulation_hz: float
+    adiabatic: bool
 
 
-def rotation_matrix(theta: float, phi: float) -> np.ndarray:
-    """2x2 unitary of the Rabi rotation by angle theta about the equatorial
-    axis set by phase phi, on the (|0>, |1>) pair."""
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -1j * np.exp(-1j * phi) * s],
-            [-1j * np.exp(1j * phi) * s, c],
-        ]
+def stark_shift(
+    e_field_v_per_m: float,
+    params: NVParameters,
+    f_disk: float,
+) -> StarkReport:
+    """Adiabatic second-order level shift of the |+-1> pair, plus the check
+    that the disk's Stark modulation (triple the rotation frequency) is slow
+    against the Zeeman splitting.
+
+    The coupling is an ordinary frequency R2E * E with E in V/cm; the shift is
+    coupling^2 / (Zeeman splitting frequency) and is removed by the pi pulses.
+    A shift too large for a float is refused.
+    """
+    zeeman = 2.0 * params.g * MU_B * params.B_z / H_PLANCK
+    if not 0.0 < zeeman < math.inf:
+        raise NumericPreconditionError(
+            f"Zeeman splitting {zeeman!r} Hz must be positive and finite: "
+            "degenerate |+-1> levels have no adiabatic shift"
+        )
+    coupling = params.R2E * (e_field_v_per_m / 100.0)
+    shift = coupling * coupling / zeeman  # Python floats: inf, not an error, on overflow
+    if not math.isfinite(shift):
+        raise NumericPreconditionError(
+            f"adiabatic level shift of R2E*E = {coupling!r} Hz over a Zeeman "
+            f"splitting of {zeeman!r} Hz is not finite"
+        )
+    modulation = 3.0 * f_disk
+    return StarkReport(
+        coupling_hz=coupling,
+        zeeman_splitting_hz=zeeman,
+        shift_hz=shift,
+        modulation_hz=modulation,
+        adiabatic=modulation < zeeman / 100.0,
     )
 
 
-def apply_rotation(state: SpinState, theta: float, phi: float) -> SpinState:
-    """Apply a qubit Rabi pulse; the |-1> amplitude is untouched."""
-    amps = state.amplitudes.copy()
-    if amps.size != 3:
-        raise ValueError("qubit rotations act on spin-1 states")
-    amps[1:] = rotation_matrix(theta, phi) @ amps[1:]
-    return SpinState(amps)
+@dataclass(frozen=True)
+class ReadoutModel:
+    """Mean detected photons per shot for the two fringe states."""
+
+    alpha0: float  # mean counts when the spin is read out in |0>
+    alpha1: float  # mean counts when the spin is read out in |1>
+
+    def __post_init__(self):
+        if self.alpha1 < 0.0 or not self.alpha0 > self.alpha1:
+            raise ValueError("readout model needs alpha0 > alpha1 >= 0")
+
+
+def contrast(model: ReadoutModel) -> float:
+    """Combined shot- plus projection-noise contrast factor
+
+        C = [1 + 2*(alpha0 + alpha1)/(alpha0 - alpha1)^2]^(-1/2),
+
+    approaching 1 in the bright, well-separated limit and ~0.05 for typical
+    single-NV collection efficiencies.
+    """
+    diff = model.alpha0 - model.alpha1
+    if diff == 0.0:
+        raise ValueError("alpha0 = alpha1 gives zero contrast")
+    square = diff * diff  # inf for huge counts (C -> 1), where diff**2 raises
+    noise = 2.0 * (model.alpha0 + model.alpha1) / square if square else math.inf
+    c_factor = (1.0 + noise) ** -0.5
+    if not c_factor > 0.0:
+        raise NumericPreconditionError(
+            f"contrast of alpha0 = {model.alpha0!r}, alpha1 = {model.alpha1!r} "
+            "underflows or is undefined"
+        )
+    return c_factor
+
+
+def analytic_sensitivity(c_factor: float, t2: float) -> float:
+    """Phase sensitivity sqrt(2)/(C*sqrt(T2)) in rad/sqrt(Hz).
+
+    Operational meaning: the phase uncertainty after total measurement time T
+    is eta/sqrt(T), with each run lasting t_r = T2.
+    """
+    if not 0.0 < c_factor <= 1.0:
+        raise ValueError("contrast must lie in (0, 1]")
+    if t2 <= 0.0:
+        raise ValueError("T2 must be positive")
+    return math.sqrt(2.0) / (c_factor * math.sqrt(t2))
+
+
+def time_to_precision(eta: float, delta_phi: float) -> float:
+    """Total measurement time (s) to reach phase uncertainty delta_phi."""
+    if eta <= 0.0 or delta_phi <= 0.0:
+        raise ValueError("eta and delta_phi must be positive")
+    ratio = eta / delta_phi
+    return ratio * ratio  # inf rather than the OverflowError of ratio**2
+
+
+@dataclass(frozen=True)
+class SensitivityReport:
+    """Single-center and ensemble sensitivity figures."""
+
+    C: float
+    T2: float
+    eta: float
+    N: float
+    eta_ensemble: float
+    T_to_1rad: float
+
+    def __post_init__(self):
+        for name in ("C", "T2", "eta", "N", "eta_ensemble", "T_to_1rad"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        if abs(self.eta_ensemble - self.eta / math.sqrt(self.N)) > 1e-12 * self.eta_ensemble:
+            raise ValueError("eta_ensemble must equal eta/sqrt(N)")
+
+
+def sensitivity_report(c_factor: float, t2: float, ensemble_size: float) -> SensitivityReport:
+    """Assemble the sensitivity figures: eta, sqrt(N) ensemble gain, and the
+    time to pin the phase to one radian."""
+    eta = analytic_sensitivity(c_factor, t2)
+    return SensitivityReport(
+        C=c_factor,
+        T2=t2,
+        eta=eta,
+        N=ensemble_size,
+        eta_ensemble=eta / math.sqrt(ensemble_size),
+        T_to_1rad=time_to_precision(eta, 1.0),
+    )

@@ -1,4 +1,4 @@
-"""Spin-echo experiment engine: schedules, run simulation, Stark handling.
+"""Spin-echo experiment engine: schedules, run simulation and field sweeps.
 
 The echo run is: optical pump into |0> at station A, a pi/2 pulse, a pi pulse
 at every station crossing (twice per rotation, which rectifies the otherwise
@@ -26,15 +26,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import integer_rotations
 from .errors import NumericPreconditionError
 from .geometry import DiskTrajectory, FieldConfig
-from .holonomy import PathSampling, effective_hamiltonian_evolve
-from .phase import segment_phase, total_rectified_phase
-from .physics import (
-    H_PLANCK, MU_B, TWO_PI, NVParameters, SpinState, apply_rotation, rotation_matrix,
+from .holonomy import (
+    PathSampling, SpinState, apply_rotation, effective_hamiltonian_evolve, rotation_matrix,
 )
+from .phase import segment_phase, total_rectified_phase
+from .physics import TWO_PI, NVParameters
 
-MAX_ROTATIONS = 10_000  # a schedule fires 2n pi pulses and the walk 2n segments
 MAX_PHASE_ULP = 1e-6  # rad; coarsest phase spacing the closed form may pass to cos
 FRINGE_SNAP = 1e-10  # p1 this close to 1/2 counts as on the fringe zero
 
@@ -69,19 +69,6 @@ class EchoSchedule:
 
     def pi_pulse_count(self) -> int:
         return self.intervals if self.refocus else 0
-
-
-def integer_rotations(n) -> int:
-    """The rotation count n as an int; schedules need a positive integer of at
-    most ``MAX_ROTATIONS``."""
-    if float(n) > MAX_ROTATIONS:
-        raise ValueError(f"rotation count {n!r} exceeds the cap of {MAX_ROTATIONS}")
-    n_int = int(round(float(n)))
-    if abs(float(n) - n_int) > 1e-12 or n_int < 1:
-        raise ValueError(
-            f"echo schedules need a positive integer rotation count, got {n!r}"
-        )
-    return n_int
 
 
 def build_echo_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
@@ -350,48 +337,3 @@ def fringe_zero_crossings(p1_values) -> int:
     changes = (signs[off_zero[1:]] != signs[off_zero[:-1]]) | (np.diff(off_zero) > 1)
     trailing_zero = off_zero.size > 0 and off_zero[-1] < z.size - 1
     return int(np.count_nonzero(changes)) + int(trailing_zero)
-
-
-@dataclass(frozen=True)
-class StarkReport:
-    coupling_hz: float
-    zeeman_splitting_hz: float
-    shift_hz: float
-    modulation_hz: float
-    adiabatic: bool
-
-
-def stark_shift(
-    e_field_v_per_m: float,
-    params: NVParameters,
-    f_disk: float,
-) -> StarkReport:
-    """Adiabatic second-order level shift of the |+-1> pair, plus the check
-    that the disk's Stark modulation (triple the rotation frequency) is slow
-    against the Zeeman splitting.
-
-    The coupling is an ordinary frequency R2E * E with E in V/cm; the shift is
-    coupling^2 / (Zeeman splitting frequency) and is removed by the pi pulses.
-    A shift too large for a float is refused.
-    """
-    zeeman = 2.0 * params.g * MU_B * params.B_z / H_PLANCK
-    if not 0.0 < zeeman < math.inf:
-        raise NumericPreconditionError(
-            f"Zeeman splitting {zeeman!r} Hz must be positive and finite: "
-            "degenerate |+-1> levels have no adiabatic shift"
-        )
-    coupling = params.R2E * (e_field_v_per_m / 100.0)
-    shift = coupling * coupling / zeeman  # Python floats: inf, not an error, on overflow
-    if not math.isfinite(shift):
-        raise NumericPreconditionError(
-            f"adiabatic level shift of R2E*E = {coupling!r} Hz over a Zeeman "
-            f"splitting of {zeeman!r} Hz is not finite"
-        )
-    modulation = 3.0 * f_disk
-    return StarkReport(
-        coupling_hz=coupling,
-        zeeman_splitting_hz=zeeman,
-        shift_hz=shift,
-        modulation_hz=modulation,
-        adiabatic=modulation < zeeman / 100.0,
-    )

@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from ac_diamond import cli
 from ac_diamond.cli import CSV_VERSION, main
-from ac_diamond.config import ExperimentConfig, load_config
+from ac_diamond.config import MAX_ROTATIONS, ExperimentConfig, load_config
 from ac_diamond.geometry import FieldConfig, station_trajectory
 from ac_diamond.holonomy import PathSampling, path_ordered_propagator
-from ac_diamond.sequence import MAX_ROTATIONS
 
 DEFAULT_CFG = "configs/default.cfg"
 PHI10_CFG = "configs/phi10.cfg"
@@ -323,6 +322,16 @@ def test_rotation_count_above_cap_exits_2(command, tmp_path, monkeypatch, capsys
     cfg.write_text(f"n = {MAX_ROTATIONS + 1}\n")
     assert main([command, "--config", str(cfg)]) == 2
     assert "'n' must be at most" in capsys.readouterr().err
+
+
+def test_fmt_writes_integers_bools_and_full_precision_floats():
+    assert cli._fmt(np.int64(5)) == "5"
+    assert cli._fmt(np.int64(2**62 + 1)) == "4611686018427387905"  # not through a float
+    assert cli._fmt(7) == "7"
+    assert cli._fmt(True) == "true"
+    assert cli._fmt(False) == "false"
+    assert cli._fmt(np.float64(0.1)) == "0.10000000000000001"
+    assert cli._fmt(np.float64(1e300)) == "1.0000000000000001e+300"
 
 
 def test_csv_floats_are_full_precision(tmp_path):

@@ -6,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ac_diamond.config import AUTO_LAG, ExperimentConfig, load_config
+from ac_diamond.config import AUTO_LAG, MAX_ROTATIONS, ExperimentConfig, load_config
 from ac_diamond.errors import ConfigError
-from ac_diamond.sequence import MAX_ROTATIONS
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 

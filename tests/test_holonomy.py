@@ -24,7 +24,8 @@ from ac_diamond.holonomy import (
     unitarity_defect,
 )
 from ac_diamond.phase import coupling_constant, segment_phase
-from ac_diamond.physics import C_LIGHT, HBAR, MU_B, NVParameters, SpinState, spin_operators
+from ac_diamond.holonomy import SpinState, spin_operators
+from ac_diamond.physics import C_LIGHT, HBAR, MU_B, NVParameters
 
 PARAMS = NVParameters()
 RADIUS, FREQ = 0.01, 4000.0

@@ -7,16 +7,15 @@ import pytest
 
 from ac_diamond.errors import NumericPreconditionError
 from ac_diamond.geometry import FieldConfig, station_trajectory
-from ac_diamond.measurement import (
-    PhaseEstimate,
+from ac_diamond.measurement import PhaseEstimate, monte_carlo_experiment
+from ac_diamond.physics import (
+    NVParameters,
     ReadoutModel,
     analytic_sensitivity,
     contrast,
-    monte_carlo_experiment,
     sensitivity_report,
     time_to_precision,
 )
-from ac_diamond.physics import NVParameters
 from ac_diamond.sequence import (
     build_echo_schedule,
     odd_pulse_schedule,

@@ -14,7 +14,7 @@ from ac_diamond.phase import (
     segment_phase,
     total_rectified_phase,
 )
-from ac_diamond.physics import NVParameters
+from ac_diamond.physics import C_LIGHT, HBAR, MU_B, NVParameters
 
 # independent arithmetic oracle: g*mu_B/(hbar*c^2) from raw CODATA numbers
 COEF_ORACLE = 2.0 * 9.2740100783e-24 / (
@@ -148,6 +148,72 @@ class TestTotalRectifiedPhase:
             sign = -sign
         total = total_rectified_phase(0.01, 3e7, float(n), 2.0)
         assert abs(acc - total) < 1e-10
+
+
+def _numpy_rectified_phase(radius, e_field, n_rotations, g):
+    """The rectified phase with its checks written in numpy, as the reference
+    for the numpy-free checks of :func:`total_rectified_phase`."""
+    if np.any(radius < 0.0):
+        raise ValueError("radius must be non-negative")
+    if np.any(e_field < 0.0):
+        raise ValueError("field magnitude must be non-negative")
+    if np.any(n_rotations < 0.0):
+        raise ValueError("rotation count must be non-negative")
+    phase = 4.0 * g * MU_B * radius * e_field * n_rotations / (HBAR * C_LIGHT**2)
+    if not np.all(np.isfinite(phase)):
+        raise NumericPreconditionError(
+            "total rectified A-C phase is not finite: g*r*E*n too large"
+        )
+    return phase
+
+
+def _outcome(fn, args):
+    """(result type, result bytes) of a call, or (error type, message)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            result = fn(*args)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return type(result), np.asarray(result).tobytes()
+
+
+NAN, INF = np.nan, np.inf
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (np.array([0.01, NAN]), 3e7, 7, 2.0),
+        (np.array([0.01, INF]), 3e7, 7, 2.0),
+        (np.array([0.01, -INF]), 3e7, 7, 2.0),
+        (np.array([0.01, -0.01]), 3e7, 7, 2.0),
+        (np.array([NAN, -1.0]), 3e7, 7, 2.0),  # the NaN must not hide the negative
+        (0.01, np.array([3e7, NAN, -1.0]), 7, 2.0),
+        (0.01, 3e7, np.array([1.0, 7.0, INF]), 2.0),
+        (0.01, 3e7, np.array([-1.0, 7.0]), 2.0),
+        (0.01, 3e7, 7, np.array([2.0, INF])),
+        (0.01, 3e7, 7, np.array([2.0, -INF])),
+        (0.01, 3e7, 7, -2.0),
+        (0.01, 3e7, 7, -1e300),
+        (np.array([1e300]), np.array([1e300]), 7, 2.0),
+        (np.array(0.01), np.array(3e7), np.array(7.0), 2.0),
+        (np.array(-0.01), 3e7, 7, 2.0),
+        (np.array(NAN), 3e7, 7, 2.0),
+        (0.01, np.array(INF), 7, 2.0),
+        (np.float64(0.01), np.float64(3e7), np.float64(7.0), np.float64(2.0)),
+        (np.float64(-0.01), 3e7, 7, 2.0),
+        (np.float64(0.01), np.float64(NAN), 7, 2.0),
+        (np.float64(-0.0), 3e7, 7, 2.0),
+        (1, 30000000, 7, 2),
+        (-1, 30000000, 7, 2),
+        (1, 30000000, -7, 2),
+        (0.01, NAN, 7, 2.0),
+        (1e200, 1e200, 7.2, 2.0),
+        (np.array([]), 3e7, 7, 2.0),
+    ],
+)
+def test_checks_refuse_and_accept_as_numpy_does(args):
+    assert _outcome(total_rectified_phase, args) == _outcome(_numpy_rectified_phase, args)
 
 
 def test_coupling_constant_matches_oracle():

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ac_diamond.physics import (
-    C_LIGHT,
-    H_PLANCK,
-    HBAR,
-    MU_B,
-    NVParameters,
-    SpinState,
-    apply_rotation,
-    spin_operators,
-)
+from ac_diamond.holonomy import SpinState, apply_rotation, spin_operators
+from ac_diamond.physics import C_LIGHT, H_PLANCK, HBAR, MU_B, NVParameters
 
 TWO_PI = 2.0 * np.pi
 

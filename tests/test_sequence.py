@@ -9,22 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ac_diamond.cli import ECHO_DETUNINGS, main
+from ac_diamond.config import MAX_ROTATIONS, integer_rotations
 from ac_diamond.errors import NumericPreconditionError
 from ac_diamond.geometry import FieldConfig, station_trajectory
 from ac_diamond.phase import total_rectified_phase
-from ac_diamond.physics import NVParameters
+from ac_diamond.physics import NVParameters, stark_shift
 from ac_diamond.sequence import (
     FRINGE_SNAP,
-    MAX_ROTATIONS,
     EchoSchedule,
     build_echo_schedule,
     fringe_zero_crossings,
-    integer_rotations,
     odd_pulse_schedule,
     optimal_readout_lag,
     signal_probability,
     simulate_run,
-    stark_shift,
     strip_pi_pulses,
     sweep_signal,
     _closed_form_walk,
