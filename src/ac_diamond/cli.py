@@ -22,8 +22,12 @@ from .physics import (
     total_rectified_phase,
 )
 
-# These subcommands compute Python floats only, and never import numpy.
+# These subcommands compute Python floats only, and never import numpy.  The
+# scalar ones need nothing beyond ``physics`` and ``config``; the closed-form
+# ones run on the engine in ``geometry``, ``phase`` and ``sequence``.
 SCALAR_COMMANDS = ("phase", "sensitivity", "stark")
+CLOSED_FORM_COMMANDS = ("sweep", "echo-check")
+CLOSED_FORM_MODULES = (".geometry", ".phase", ".sequence")
 # The other subcommands' names, by defining module.  A name is imported on
 # first attribute access (``__getattr__``), or by ``main`` before such a
 # subcommand runs; a name already set on this module, e.g. by a tracer or a
@@ -39,6 +43,7 @@ _LAZY = {
     "segment_phase": ".phase",
     "build_echo_schedule": ".sequence",
     "fringe_zero_crossings": ".sequence",
+    "linear_grid": ".sequence",
     "optimal_readout_lag": ".sequence",
     "simulate_run": ".sequence",
     "sweep_signal": ".sequence",
@@ -50,7 +55,7 @@ ECHO_DETUNINGS = (0.0, 1.0e4, 1.0e5, 1.0e6, 1.0e7)
 
 
 def __getattr__(name):
-    """Import one of the numpy subcommands' names on first access (PEP 562)."""
+    """Import one of the lazy names on first access (PEP 562)."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module(_LAZY[name], __package__)
@@ -58,10 +63,11 @@ def __getattr__(name):
     return value
 
 
-def _bind_lazy() -> None:
-    """Bind every lazy name not yet set, so that global lookups find them."""
-    for name in _LAZY:
-        if name not in globals():
+def _bind_lazy(modules=None) -> None:
+    """Bind every lazy name not yet set, or only those defined in
+    ``modules``, so that global lookups find them."""
+    for name, module in _LAZY.items():
+        if name not in globals() and (modules is None or module in modules):
             __getattr__(name)
 
 
@@ -130,13 +136,13 @@ def _cmd_phase(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, schedule, traj = _echo_setup(args)
-    grid = np.linspace(0.0, cfg.E0, args.grid)
+    grid = linear_grid(cfg.E0, args.grid)
     sweep = sweep_signal(grid, schedule, traj, _nv_params(cfg))
     crossings = fringe_zero_crossings(sweep.p1)
     idx = sweep.max_slope_index
     print(f"readout lag: {schedule.readout_lag:.6f} rad")
     print(
-        f"max |dp1/dE| at grid point {idx}/{grid.size - 1} "
+        f"max |dp1/dE| at grid point {idx}/{len(grid) - 1} "
         f"(E = {grid[idx]:.6g} V/m)"
     )
     print(f"fringe zero crossings (T2 -> inf): {crossings}")
@@ -345,8 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Python floats, which the code checks for overflow: no numpy needed
         if args.command in SCALAR_COMMANDS:
-            # Python floats, which check their own overflow: no numpy needed
+            return args.func(args)
+        if args.command in CLOSED_FORM_COMMANDS:
+            _bind_lazy(CLOSED_FORM_MODULES)
             return args.func(args)
         _bind_lazy()
         # a float overflow, 0/0 or x/0 is a numeric precondition violation
@@ -356,7 +365,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericPreconditionError, FloatingPointError) as exc:
+    # ArithmeticError: numpy's FloatingPointError, and Python's
+    # ZeroDivisionError and OverflowError
+    except (NumericPreconditionError, ArithmeticError) as exc:
         print(f"numeric precondition violated: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

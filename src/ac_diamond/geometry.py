@@ -1,11 +1,14 @@
-"""Disk trajectory, the pulse-station angle, and the plate field map."""
+"""Disk trajectory, the pulse-station angle, and the plate field map.
+
+The module imports no numpy: the closed-form engine reads only the records
+and ``STATION_A_ANGLE``.  :func:`position` and :func:`velocity`, which the
+stepper calls on arrays of times, import it when called.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NumericPreconditionError
 from .physics import TWO_PI
@@ -13,7 +16,7 @@ from .physics import TWO_PI
 # Station A sits at (0, -r), station B antipodal at (0, +r).  Stations on the
 # y extremes maximize |Delta y| per half rotation, which is what makes the
 # rectified phase reach 4*g*mu_B*r*E*n/(hbar*c^2).
-STATION_A_ANGLE = -np.pi / 2.0
+STATION_A_ANGLE = -math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,8 @@ class DiskTrajectory:
 
 
 def _tilt_matrix(tilt: float) -> np.ndarray:
+    import numpy as np
+
     # Transpose of R_y(tilt), for right-multiplication of row vectors:
     # v @ _tilt_matrix == R_y(tilt) @ v, so x-hat maps to -z-hat at tilt = pi/2.
     c, s = np.cos(tilt), np.sin(tilt)
@@ -62,6 +67,8 @@ def _tilt_matrix(tilt: float) -> np.ndarray:
 
 def position(traj: DiskTrajectory, t) -> np.ndarray:
     """Lab-frame position in metres; vectorised over t (last axis is xyz)."""
+    import numpy as np
+
     theta = STATION_A_ANGLE + TWO_PI * traj.frequency * np.asarray(t, dtype=float)
     flat = traj.radius * np.stack(
         [np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1
@@ -73,6 +80,8 @@ def position(traj: DiskTrajectory, t) -> np.ndarray:
 
 def velocity(traj: DiskTrajectory, t) -> np.ndarray:
     """Analytic time derivative of :func:`position`; |v| = 2*pi*f*r."""
+    import numpy as np
+
     theta = STATION_A_ANGLE + TWO_PI * traj.frequency * np.asarray(t, dtype=float)
     speed = TWO_PI * traj.frequency * traj.radius
     flat = speed * np.stack(

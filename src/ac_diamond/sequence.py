@@ -17,6 +17,13 @@ pulse enters the rotation matrix with phase -lag; simulation runs in the
 rotating frame of the static Hamiltonian, with any residual static precession
 carried explicitly as ``detuning_hz`` so the echo-cancellation checks are
 meaningful computations rather than tautologies.
+
+The closed-form engine (schedules, runs, sweeps) computes in Python floats
+and imports no numpy; its float operations follow numpy's own order, so a
+sweep is bit for bit what ``np.linspace`` and ``np.gradient`` gave.  Where
+numpy under ``np.errstate`` raised (a float overflow, a division by a zero
+that an underflow made), it raises :class:`NumericPreconditionError`.  Only
+the oracle imports numpy and the stepper, when it runs.
 """
 
 from __future__ import annotations
@@ -24,16 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .config import integer_rotations
 from .errors import NumericPreconditionError
 from .geometry import DiskTrajectory, FieldConfig
-from .holonomy import (
-    PathSampling, SpinState, apply_rotation, effective_hamiltonian_evolve, rotation_matrix,
-)
-from .phase import segment_phase, total_rectified_phase
-from .physics import TWO_PI, NVParameters
+from .phase import segment_phase
+from .phase import total_rectified_phase  # noqa: F401  (a benchmark tracer site)
+from .physics import C_LIGHT, HBAR, MU_B, TWO_PI, NVParameters
 
 MAX_PHASE_ULP = 1e-6  # rad; coarsest phase spacing the closed form may pass to cos
 FRINGE_SNAP = 1e-10  # p1 this close to 1/2 counts as on the fringe zero
@@ -113,15 +116,15 @@ class RunResult:
     fringe_phase: float | None = None
 
     def __post_init__(self):
-        _require_population(self.p1)
+        _require_population((self.p1,))
 
 
-def _require_population(p1) -> None:
-    """Range check on a |1> population, or on every entry of an array of them."""
-    in_range = (p1 >= -1e-12) & (p1 <= 1.0 + 1e-12)
-    if not np.all(in_range):
-        worst = np.ravel(p1)[np.argmin(np.ravel(in_range))]
-        raise ValueError(f"population out of range: {float(worst)!r}")
+def _require_population(p1_values) -> None:
+    """Range check on every |1> population in a sequence; names the first
+    one out of range."""
+    for p1 in p1_values:
+        if not -1e-12 <= p1 <= 1.0 + 1e-12:  # also refuses NaN
+            raise ValueError(f"population out of range: {float(p1)!r}")
 
 
 def signal_probability(phi: float, lag: float, t_r: float, t2: float) -> float:
@@ -166,7 +169,7 @@ def simulate_run(
         walk = _closed_form_walk(schedule, traj, field, params, detuning_hz)
         coherence = math.exp(-schedule.duration / params.T2)
         return RunResult(
-            p1=float(_echo_p1(1.0, walk, coherence)),
+            p1=_echo_p1((1.0,), walk, coherence)[0],
             ac_phase=walk[0],
             coherence=coherence,
             static_phase=walk[1],
@@ -204,27 +207,35 @@ def _closed_form_walk(schedule, traj, field, params, detuning_hz):
     return ac_total, static_total, -schedule.readout_lag
 
 
-def _echo_p1(scale, walk, coherence):
+def _echo_p1(scales, walk, coherence) -> list[float]:
     """1/2*(1 + coherence*cos(scale*phi + static_phase + final_phase)) for a
-    walk (phi, static_phase, final_phase); ``scale`` may be a numpy array.
+    walk (phi, static_phase, final_phase), one value per scale in ``scales``.
 
     Refuses total phases whose float spacing exceeds ``MAX_PHASE_ULP`` (about
     8.6e9 rad and beyond), where cos would return rounding noise.
     """
     phi, static_phase, final_phase = walk
-    total = scale * phi + static_phase + final_phase
-    largest = float(np.max(np.abs(total)))
+    totals = [scale * phi + static_phase + final_phase for scale in scales]
+    # the largest |total|, or NaN if there is one, as np.max reports it
+    largest = math.nan if any(map(math.isnan, totals)) else max(map(abs, totals))
     if not math.ulp(largest) <= MAX_PHASE_ULP:  # also refuses inf and NaN
         raise NumericPreconditionError(
             f"closed-form phase {largest:.3g} rad is not resolved to "
             f"{MAX_PHASE_ULP:g} rad"
         )
-    return 0.5 * (1.0 + coherence * np.cos(total))
+    return [0.5 * (1.0 + coherence * math.cos(total)) for total in totals]
 
 
 def _run_oracle(
     schedule, traj, field, params, detuning_hz, steps_per_interval, quadratic_mass
 ):
+    import numpy as np
+
+    from .holonomy import (
+        PathSampling, SpinState, apply_rotation, effective_hamiltonian_evolve,
+        rotation_matrix,
+    )
+
     half = schedule.half_period
     coherence = math.exp(-schedule.duration / params.T2)
     state = apply_rotation(SpinState.ground(), math.pi / 2.0, 0.0)
@@ -261,15 +272,35 @@ def _run_oracle(
     )
 
 
+def linear_grid(stop: float, points: int) -> list[float]:
+    """``points`` evenly spaced fields from 0 to ``stop``, as ``np.linspace``
+    computes them: point i is i*step, or (i/div)*stop where the step
+    stop/div underflows to zero, and the last point is ``stop`` itself."""
+    div = points - 1
+    if div < 1:
+        return [0.0] * points
+    step = stop / div
+    if step == 0.0:
+        grid = [(i / div) * stop for i in range(points)]
+    else:
+        grid = [i * step for i in range(points)]
+        if not math.isfinite(grid[-1]):  # numpy computes it before setting stop
+            raise NumericPreconditionError(
+                f"sweep grid point {div}*{step!r} V/m overflows"
+            )
+    grid[-1] = stop
+    return grid
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Fluorescence curve over a field grid, plus slope diagnostics."""
 
-    e_values: np.ndarray
-    phases: np.ndarray
-    p1: np.ndarray
-    p1_decohered: np.ndarray
-    slopes: np.ndarray
+    e_values: list[float]
+    phases: list[float]
+    p1: list[float]
+    p1_decohered: list[float]
+    slopes: list[float]
     max_slope_index: int
 
 
@@ -282,15 +313,16 @@ def sweep_signal(
     """Closed-form signal for each field magnitude on a strictly increasing grid.
 
     The rectified phase is linear in E, so the schedule is walked once at unit
-    field and p1 follows for the whole grid in one array expression.  ``p1`` is
+    field and p1 follows for every grid point from that one walk.  ``p1`` is
     the T2 -> infinity fringe; ``p1_decohered`` applies the exact envelope
     identity p1_T2 = 1/2 + exp(-t_r/T2)*(p1 - 1/2).  The slope column uses
-    central differences (one-sided at the grid ends).
+    central differences (one-sided at the grid ends), see :func:`_gradient`.
     """
-    e_values = np.asarray(e_values, dtype=float)
-    if e_values.size == 0:
+    e_values = [float(e) for e in e_values]
+    if not e_values:
         raise ValueError("sweep grid is empty")
-    if not (np.all(np.diff(e_values) > 0.0) and e_values[0] >= 0.0):
+    spacing = [b - a for a, b in zip(e_values, e_values[1:])]
+    if not (all(dx > 0.0 for dx in spacing) and e_values[0] >= 0.0):
         # a repeated E makes the slope column divide by zero; through the CLI
         # that means E0 too small to resolve the grid, hence exit 3
         raise NumericPreconditionError(
@@ -302,23 +334,58 @@ def sweep_signal(
     )
     p1 = _echo_p1(e_values, walk, 1.0)
     _require_population(p1)
-    phases = total_rectified_phase(
-        traj.radius, e_values, schedule.n_rotations, params.g
-    )
+    # total_rectified_phase at each E, in its float order; every phase is
+    # finite, since it is E*phi, whose size _echo_p1 has bounded
+    head = 4.0 * params.g * MU_B * traj.radius
+    scale = HBAR * C_LIGHT**2
+    phases = [head * e * schedule.n_rotations / scale for e in e_values]
     envelope = math.exp(-schedule.duration / params.T2)
-    p1_decohered = 0.5 + envelope * (p1 - 0.5)
-    if e_values.size > 1:
-        slopes = np.gradient(p1_decohered, e_values)
-    else:
-        slopes = np.zeros(1)
+    p1_decohered = [0.5 + envelope * (p - 0.5) for p in p1]
+    slopes = _gradient(p1_decohered, spacing) if spacing else [0.0]
     return SweepResult(
         e_values=e_values,
         phases=phases,
         p1=p1,
         p1_decohered=p1_decohered,
         slopes=slopes,
-        max_slope_index=int(np.argmax(np.abs(slopes))),
+        max_slope_index=max(range(len(slopes)), key=lambda i: abs(slopes[i])),
     )
+
+
+def _gradient(f, spacing) -> list[float]:
+    """``np.gradient(f, x)`` for the positive grid steps ``spacing`` of x, in
+    numpy's float operations: central differences inside, first-order
+    one-sided ones at the ends.
+
+    Equal steps h give (f[i+1] - f[i-1])/(2h), unequal steps the weighted
+    three-point formula.  A divisor that overflows or underflows to zero, or
+    a slope that overflows, is refused, as numpy's errstate refused it.
+    """
+    h = spacing[0]
+    if all(dx == h for dx in spacing):
+        two_h = 2.0 * h  # numpy forms 2h even without interior points
+        if not two_h < math.inf:
+            raise NumericPreconditionError(f"sweep grid step {h!r} V/m: 2*step overflows")
+        inner = [(f[i + 1] - f[i - 1]) / two_h for i in range(1, len(f) - 1)]
+    else:
+        inner = []
+        for dx1, dx2, f0, f1, f2 in zip(spacing, spacing[1:], f, f[1:], f[2:]):
+            span = dx1 + dx2
+            den_a, den_b, den_c = dx1 * span, dx1 * dx2, dx2 * span
+            if not (0.0 < den_a < math.inf and 0.0 < den_b < math.inf
+                    and 0.0 < den_c < math.inf):
+                raise NumericPreconditionError(
+                    f"sweep grid steps {dx1!r}, {dx2!r} V/m: a product of two "
+                    "steps overflows or underflows to zero"
+                )
+            a, b, c = -dx2 / den_a, (dx2 - dx1) / den_b, dx1 / den_c
+            inner.append(a * f0 + b * f1 + c * f2)
+    slopes = [(f[1] - f[0]) / spacing[0], *inner, (f[-1] - f[-2]) / spacing[-1]]
+    if not all(abs(slope) < math.inf for slope in slopes):  # also refuses NaN
+        raise NumericPreconditionError(
+            "sweep slope column is not finite: the grid step is too fine"
+        )
+    return slopes
 
 
 def fringe_zero_crossings(p1_values) -> int:
@@ -327,13 +394,19 @@ def fringe_zero_crossings(p1_values) -> int:
     Values within ``FRINGE_SNAP`` of 1/2 are treated as exactly on the fringe
     zero.  A run of zeros between two points on the same side (the curve
     touched the line and came back) and a terminal zero (the quadrature
-    endpoint of an auto-lag sweep) each count as one crossing.
+    endpoint of an auto-lag sweep) each count as one crossing.  A NaN is a
+    side of its own, unequal to every other.
     """
-    z = np.asarray(p1_values, dtype=float) - 0.5
-    z[np.abs(z) < FRINGE_SNAP] = 0.0
-    signs = np.sign(z)
-    off_zero = np.flatnonzero(signs)
-    # consecutive off-zero points change sign, or touch the zero line between
-    changes = (signs[off_zero[1:]] != signs[off_zero[:-1]]) | (np.diff(off_zero) > 1)
-    trailing_zero = off_zero.size > 0 and off_zero[-1] < z.size - 1
-    return int(np.count_nonzero(changes)) + int(trailing_zero)
+    crossings = 0
+    side = 0.0  # of the last point off the zero line; 0.0 before the first
+    touched = False  # a point on the zero line since then
+    for p1 in p1_values:
+        z = float(p1) - 0.5
+        if abs(z) < FRINGE_SNAP:
+            touched = True
+            continue
+        sign = 1.0 if z > 0.0 else -1.0 if z < 0.0 else z  # NaN stays NaN
+        if side != 0.0 and (sign != side or touched):
+            crossings += 1
+        side, touched = sign, False
+    return crossings + (touched and side != 0.0)

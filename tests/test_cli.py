@@ -272,6 +272,11 @@ def test_bad_flags_and_seeds_exit_2(argv, config_text, tmp_path, capsys):
         (["montecarlo"], "r = 1e303\nn = 2\n", (3,)),  # r*E overflows
         (["sweep"], "E0 = 1e-213\nn = 7\n", (3,)),  # spacing^2 underflows
         (["sweep"], "r = 1e-300\nE0 = 1e308\nn = 1\n", (3,)),  # spacing^2 overflows
+        # no interior point, but np.gradient forms 2*spacing, which overflows
+        (["sweep", "--grid", "2"], "r = 1e-300\nE0 = 1e308\nn = 1\n", (3,)),
+        # the last point of linspace, (grid - 1)*(E0/(grid - 1)), overflows
+        (["sweep", "--grid", "4"], "r = 1e-300\nE0 = 1.7976931348623157e308\nn = 1\n", (3,)),
+        (["echo-check"], "r = 1e300\nE0 = 1e10\nn = 1\n", (3,)),  # 2r*E0 overflows
         # a mean count beyond the Poisson sampler's int64 range
         (["montecarlo"], "alpha0 = 1e30\nn = 2\n", (3,)),
         # Python-float products that overflow to inf without a numpy error
@@ -284,7 +289,9 @@ def test_bad_flags_and_seeds_exit_2(argv, config_text, tmp_path, capsys):
          "echo-check-huge-radius", "montecarlo-huge-radius",
          "sweep-unresolvable-grid", "holonomy-tiny-frequency", "sweep-max-radius",
          "montecarlo-overflowing-phase", "sweep-underflowing-spacing",
-         "sweep-overflowing-spacing", "montecarlo-huge-counts",
+         "sweep-overflowing-spacing", "sweep-overflowing-two-point-spacing",
+         "sweep-overflowing-grid", "echo-check-overflowing-segment",
+         "montecarlo-huge-counts",
          "phase-overflowing-phase", "stark-overflowing-shift"],
 )
 def test_extreme_values_exit_0_or_3(argv, config_text, codes, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The closed-form subcommands start without numpy, and the numpy subcommands'
-names in ``ac_diamond.cli`` are imported lazily yet stay patchable."""
+"""The closed-form subcommands start without numpy, and the other
+subcommands' names in ``ac_diamond.cli`` are imported lazily yet stay
+patchable."""
 
 import importlib.util
 import os
@@ -10,22 +11,24 @@ from pathlib import Path
 
 import pytest
 
-from ac_diamond import holonomy, sequence
+from ac_diamond import holonomy, measurement, sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CFG = str(ROOT / "configs" / "default.cfg")
 PHI10_CFG = str(ROOT / "configs" / "phi10.cfg")
 
-# Runs the CLI as ``python -m ac_diamond.cli`` does, then reports its exit code
-# and whether numpy was loaded.
+# Runs the CLI as ``python -m ac_diamond.cli`` does, then reports its exit code,
+# whether numpy was loaded and which of the closed-form engine's modules were.
 RUN_CLI = """
 import runpy, sys
 sys.argv = ["ac-diamond", *sys.argv[1:]]
 try:
     runpy.run_module("ac_diamond.cli", run_name="__main__")
 except SystemExit as exc:
-    print(exc.code, "numpy" in sys.modules)
+    engine = [m for m in ("geometry", "phase", "sequence") if "ac_diamond." + m in sys.modules]
+    print(exc.code, "numpy" in sys.modules, ",".join(engine) or "-")
 """
+ENGINE = "geometry,phase,sequence"
 
 
 def _fresh_interpreter(code, *args) -> list[str]:
@@ -39,27 +42,39 @@ def _fresh_interpreter(code, *args) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, config_text, code, engine",
     [
-        (["phase", "--config", DEFAULT_CFG], "0"),
-        (["sensitivity", "--config", DEFAULT_CFG], "0"),
-        (["stark", "--config", DEFAULT_CFG], "0"),
-        (["phase", "--config", "{overflow}"], "3"),
+        (["phase"], None, "0", "-"),
+        (["sensitivity"], None, "0", "-"),
+        (["stark"], None, "0", "-"),
+        (["phase"], "r = 1e200\nE0 = 1e200\n", "3", "-"),
+        (["sweep"], "n = 7\n", "0", ENGINE),
+        (["sweep", "--grid", "2000"], "n = 7\n", "0", ENGINE),
+        (["echo-check"], "n = 7\n", "0", ENGINE),
+        # refused: E0 too small to resolve the grid, 2r*E0 overflows
+        (["sweep"], "E0 = 5e-324\nn = 7\n", "3", ENGINE),
+        (["echo-check"], "r = 1e300\nE0 = 1e10\nn = 1\n", "3", ENGINE),
     ],
-    ids=["phase", "sensitivity", "stark", "phase-overflow"],
+    ids=["phase", "sensitivity", "stark", "phase-overflow", "sweep", "sweep-2000",
+         "echo-check", "sweep-unresolvable-grid", "echo-check-overflow"],
 )
-def test_closed_form_subcommands_never_load_numpy(argv, code, tmp_path):
-    overflow = tmp_path / "overflow.cfg"
-    overflow.write_text("r = 1e200\nE0 = 1e200\n")
-    argv = [arg.format(overflow=overflow) for arg in argv]
+def test_closed_form_subcommands_never_load_numpy(argv, config_text, code, engine,
+                                                  tmp_path):
+    # the scalar subcommands do not load the closed-form engine either
+    cfg = DEFAULT_CFG
+    if config_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+    argv = [*argv, "--config", str(cfg)]
     out = str(tmp_path / "out.csv")
-    assert _fresh_interpreter(RUN_CLI, *argv, "--out", out) == [code, "False"]
+    assert _fresh_interpreter(RUN_CLI, *argv, "--out", out) == [code, "False", engine]
 
 
-def test_numpy_subcommand_is_seen_loading_numpy(tmp_path):
-    # the probe above can tell: a sweep does load numpy
-    argv = ["sweep", "--config", PHI10_CFG, "--out", str(tmp_path / "out.csv")]
-    assert _fresh_interpreter(RUN_CLI, *argv) == ["0", "True"]
+@pytest.mark.parametrize("command", ["montecarlo", "holonomy"])
+def test_numpy_subcommand_is_seen_loading_numpy(command, tmp_path):
+    # the probe above can tell: montecarlo and holonomy do load numpy
+    argv = [command, "--config", PHI10_CFG, "--out", str(tmp_path / "out.csv")]
+    assert _fresh_interpreter(RUN_CLI, *argv) == ["0", "True", ENGINE]
 
 
 def test_bare_package_import_loads_no_numpy():
@@ -77,7 +92,7 @@ def _fresh_cli():
 
 def test_numpy_subcommands_call_through_the_module_attributes(tmp_path):
     cli = _fresh_cli()
-    assert "sweep_signal" not in vars(cli) and "np" not in vars(cli)
+    assert "monte_carlo_experiment" not in vars(cli) and "np" not in vars(cli)
     calls = Counter()
 
     def counting(fn):
@@ -88,18 +103,39 @@ def test_numpy_subcommands_call_through_the_module_attributes(tmp_path):
         return wrapper
 
     # set as a tracer or monkeypatch would, before any subcommand has run
-    cli.sweep_signal = counting(sequence.sweep_signal)
+    cli.monte_carlo_experiment = counting(measurement.monte_carlo_experiment)
     cli.path_ordered_propagator = counting(holonomy.path_ordered_propagator)
-    patched = cli.sweep_signal, cli.path_ordered_propagator
+    patched = cli.monte_carlo_experiment, cli.path_ordered_propagator
     out = str(tmp_path / "out.csv")
     weak = tmp_path / "weak.cfg"
     weak.write_text("E0 = 1e6\n")  # so that the 1-step rung resolves the rotation
-    assert cli.main(["sweep", "--config", PHI10_CFG, "--out", out]) == 0
+    assert cli.main(["montecarlo", "--config", PHI10_CFG, "--out", out]) == 0
     assert cli.main(["holonomy", "--config", str(weak), "--steps", "16", "--out", out]) == 0
-    # one sweep; the planar segment and the forward loop on each of 5 rungs
-    assert calls == {"sweep_signal": 1, "path_ordered_propagator": 10}
-    assert (cli.sweep_signal, cli.path_ordered_propagator) == patched
+    # one estimate a rung of the shot ladder; the planar segment and the
+    # forward loop on each of 5 rungs
+    assert calls == {"monte_carlo_experiment": 3, "path_ordered_propagator": 10}
+    assert (cli.monte_carlo_experiment, cli.path_ordered_propagator) == patched
     assert vars(cli)["simulate_run"] is sequence.simulate_run  # bound by main
+
+
+@pytest.mark.parametrize("command", ["sweep", "echo-check"])
+def test_closed_form_subcommands_bind_no_numpy_names(command, tmp_path):
+    cli = _fresh_cli()
+    calls = []
+
+    def sweep(*args):
+        calls.append(args)
+        return sequence.sweep_signal(*args)
+
+    cli.sweep_signal = sweep  # kept, as a tracer's wrapper is
+    out = str(tmp_path / "out.csv")
+    assert cli.main([command, "--config", PHI10_CFG, "--out", out]) == 0
+    assert len(calls) == (command == "sweep")
+    bound = {name for name in cli._LAZY if name in vars(cli)}
+    assert bound == {name for name, module in cli._LAZY.items()
+                     if module in cli.CLOSED_FORM_MODULES}
+    assert cli.sweep_signal is sweep
+    assert vars(cli)["simulate_run"] is sequence.simulate_run
 
 
 def test_lazy_names_resolve_on_attribute_access():

@@ -93,6 +93,32 @@ class TestSegmentPhase:
             assert numeric == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
     @given(
+        t0=st.floats(min_value=0.0, max_value=1e-2),
+        t1=st.floats(min_value=0.0, max_value=1e-2),
+        r=st.floats(min_value=1e-4, max_value=1.0),
+        f=st.floats(min_value=-1e4, max_value=1e4).filter(lambda f: abs(f) > 1.0),
+        e=st.floats(min_value=0.0, max_value=1e8),
+    )
+    def test_is_the_numpy_position_formula_bit_for_bit(self, t0, t1, r, f, e):
+        # y(t) of position(), which stays the numpy reference for the
+        # closed form's Python-float arithmetic
+        traj = DiskTrajectory(radius=r, frequency=f)
+        field = FieldConfig(magnitude=e)
+        dy = position(traj, t1)[..., 1] - position(traj, t0)[..., 1]
+        reference = float(coupling_constant(PARAMS) * (dy * e))
+        assert segment_phase(t0, t1, traj, field, PARAMS) == reference
+
+    @pytest.mark.parametrize("g, radius, e", [(2.0, 1e300, 1e10), (2.0, 1e150, 1e160),
+                                              (5e-324, 1e300, 1e10)],
+                             ids=["dy-times-E-overflows", "both-huge", "zero-coupling"])
+    def test_unrepresentable_phase_refused(self, g, radius, e):
+        # numpy under errstate raised at the overflowing product; Python floats
+        # give inf there, or NaN where the coupling underflows to 0
+        traj = station_trajectory(radius, 4000.0)
+        with pytest.raises(NumericPreconditionError, match="segment phase .* not finite"):
+            segment_phase(0.0, HALF, traj, FieldConfig(magnitude=e), NVParameters(g=g))
+
+    @given(
         t0=st.floats(min_value=0.0, max_value=1e-3),
         span=st.floats(min_value=1e-6, max_value=1e-3),
     )

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ac_diamond.cli import ECHO_DETUNINGS, main
@@ -19,6 +19,7 @@ from ac_diamond.sequence import (
     EchoSchedule,
     build_echo_schedule,
     fringe_zero_crossings,
+    linear_grid,
     odd_pulse_schedule,
     optimal_readout_lag,
     signal_probability,
@@ -27,6 +28,7 @@ from ac_diamond.sequence import (
     sweep_signal,
     _closed_form_walk,
     _echo_p1,
+    _gradient,
 )
 
 FREQ = 4000.0
@@ -290,7 +292,7 @@ class TestSweep:
 
     def test_max_slope_at_final_point(self):
         sweep = self._phi10_sweep()
-        assert sweep.max_slope_index == sweep.e_values.size - 1
+        assert sweep.max_slope_index == len(sweep.e_values) - 1
 
     def test_fringe_zero_crossings(self):
         sweep = self._phi10_sweep()
@@ -304,7 +306,7 @@ class TestSweep:
         sweep = self._phi10_sweep()
         envelope = math.exp(-1.75e-3 / PARAMS.T2)
         assert np.allclose(
-            sweep.p1_decohered, 0.5 + envelope * (sweep.p1 - 0.5), atol=1e-15
+            sweep.p1_decohered, 0.5 + envelope * (np.array(sweep.p1) - 0.5), atol=1e-15
         )
 
     def test_empty_grid_rejected(self):
@@ -375,7 +377,7 @@ class TestSweepEngine:
         grid = np.linspace(0.0, E0_PHI10, 101)
         sweep = sweep_signal(grid, sched, TRAJ, PARAMS)
         scalar = [total_rectified_phase(RADIUS, e, 7, PARAMS.g) for e in grid]
-        assert sweep.phases.tolist() == scalar
+        assert sweep.phases == scalar
 
     def test_tilted_trajectory_rejected(self):
         tilted = station_trajectory(RADIUS, FREQ, tilt=0.3)
@@ -394,10 +396,12 @@ class TestSweepEngine:
     def test_phases_cos_cannot_resolve_are_rejected(self):
         walk = (1.0, 0.0, 0.0)
         # below 2**33 rad the float spacing is 2**-20 rad, within 1e-6 rad
-        assert 0.0 <= _echo_p1(2.0**33 - 1.0, walk, 1.0) <= 1.0
-        for scale in (2.0**33, np.array([0.0, np.inf]), np.array([np.nan])):
+        assert 0.0 <= _echo_p1([2.0**33 - 1.0], walk, 1.0)[0] <= 1.0
+        for scales in ([2.0**33], [0.0, math.inf], [math.nan], [0.0, math.nan, 1.0]):
             with pytest.raises(NumericPreconditionError, match="not resolved"):
-                _echo_p1(scale, walk, 1.0)
+                _echo_p1(scales, walk, 1.0)
+        with pytest.raises(NumericPreconditionError, match="phase nan rad"):
+            _echo_p1([5.0, math.nan, 1.0], walk, 1.0)
 
     def test_echo_check_residuals_stay_exactly_zero(self):
         lag = optimal_readout_lag(10.0)
@@ -408,6 +412,145 @@ class TestSweepEngine:
             run = simulate_run(sched, TRAJ, field, PARAMS, detuning_hz=detuning)
             assert run.static_phase == 0.0
             assert run.p1 == base.p1
+
+
+MAX_FLOAT = 1.7976931348623157e308
+RAISE_ALL = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
+
+def _numpy_or_refused(compute):
+    """numpy's result as a list, or None where numpy's errstate refuses it."""
+    with np.errstate(**RAISE_ALL):
+        try:
+            return np.asarray(compute()).tolist()
+        except FloatingPointError:
+            return None
+
+
+def numpy_sweep(grid, sched, traj, params):
+    """The sweep columns as numpy computes them, the reference for sweep_signal."""
+    e = np.asarray(grid, dtype=float)
+    phi, static, final = _closed_form_walk(sched, traj, FieldConfig(magnitude=1.0),
+                                           params, 0.0)
+    p1 = 0.5 * (1.0 + 1.0 * np.cos(e * phi + static + final))
+    phases = total_rectified_phase(traj.radius, e, sched.n_rotations, params.g)
+    envelope = math.exp(-sched.duration / params.T2)
+    p1_decohered = 0.5 + envelope * (p1 - 0.5)
+    slopes = np.gradient(p1_decohered, e) if e.size > 1 else np.zeros(1)
+    return (e.tolist(), phases.tolist(), p1.tolist(), p1_decohered.tolist(),
+            slopes.tolist(), int(np.argmax(np.abs(slopes))))
+
+
+def _steps(kind, seed, scale, size):
+    """Grid steps of one kind: equal, equal powers of two, or random."""
+    if kind == "equal":
+        return [scale] * size
+    if kind == "power-of-two":
+        return [2.0 ** math.floor(math.log2(scale))] * size
+    rng = np.random.default_rng(seed)
+    return [scale * u for u in rng.uniform(0.5, 2.0, size).tolist()]  # inf past the top
+
+
+class TestNumpyReference:
+    """The closed-form engine computes in Python floats in numpy's order of
+    operations: its grid, slope column, fringe and sweep match numpy bit for
+    bit, and it refuses what numpy's errstate refuses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stop=st.one_of(
+            st.floats(min_value=5e-324, max_value=MAX_FLOAT),
+            st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1.0,
+                             3e7, 1e308, MAX_FLOAT]),
+        ),
+        points=st.sampled_from([1, 2, 3, 2000]),
+    )
+    @example(stop=5e-324, points=2000)  # the step stop/div underflows to zero
+    @example(stop=1e-320, points=3)  # a denormal step
+    @example(stop=MAX_FLOAT, points=4)  # 3*(stop/3) overflows
+    def test_grid_is_linspace(self, stop, points):
+        reference = _numpy_or_refused(lambda: np.linspace(0.0, stop, points))
+        if reference is None:
+            with pytest.raises(NumericPreconditionError, match="overflows"):
+                linear_grid(stop, points)
+        else:
+            assert linear_grid(stop, points) == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.sampled_from([2, 3, 2000]),
+        kind=st.sampled_from(["equal", "power-of-two", "random"]),
+        scale=st.sampled_from([5e-324, 1e-315, 1e-300, 1e-160, 1e-6, 1.0, 3e4,
+                               1e150, 1e300, 1e308]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(size=2, kind="equal", scale=1e308, seed=0)  # 2*step overflows
+    @example(size=3, kind="random", scale=1e-160, seed=1)  # step products underflow
+    def test_slope_column_is_np_gradient(self, size, kind, scale, seed):
+        grid = [0.0]
+        for step in _steps(kind, seed, scale, size - 1):
+            grid.append(grid[-1] + step)
+        spacing = [b - a for a, b in zip(grid, grid[1:])]
+        if not all(0.0 < dx < math.inf for dx in spacing):
+            return  # sweep_signal refuses such a grid before the slopes
+        f = np.random.default_rng(seed).uniform(0.0, 1.0, size).tolist()
+        reference = _numpy_or_refused(lambda: np.gradient(f, grid))
+        if reference is None:
+            with pytest.raises(NumericPreconditionError):
+                _gradient(f, spacing)
+        else:
+            assert _gradient(f, spacing) == reference
+
+    @pytest.mark.parametrize("spacing", [[1e-10, 1e300], [1e300, 1e-10], [1e-170, 2e-170]],
+                             ids=["late-product-overflows", "early-product-overflows",
+                                  "products-underflow"])
+    def test_slope_column_refuses_what_np_gradient_refuses(self, spacing):
+        grid = [0.0, spacing[0], spacing[0] + spacing[1]]
+        assert _numpy_or_refused(lambda: np.gradient([0.1, 0.7, 0.2], grid)) is None
+        with pytest.raises(NumericPreconditionError, match="grid steps"):
+            _gradient([0.1, 0.7, 0.2], spacing)
+
+    @pytest.mark.parametrize("scales", [
+        [0.0], [1.0], linear_grid(3e7, 2000), linear_grid(1e-300, 3),
+        [0.0, 5e-324, 1e-10, 1.0, 2.0**32, 8.5e9],
+    ], ids=["zero", "one", "grid-2000", "tiny-grid", "mixed"])
+    @pytest.mark.parametrize("walk, coherence", [
+        ((1.1e-6, 0.0, -2.146), 1.0), ((-3.7e-7, 0.25, math.pi + 0.3), 0.37),
+        ((1e-300, 1e4, 0.0), 5e-324),
+    ])
+    def test_echo_p1_is_the_numpy_expression(self, scales, walk, coherence):
+        phi, static, final = walk
+        reference = _numpy_or_refused(
+            lambda: 0.5 * (1.0 + coherence * np.cos(np.asarray(scales) * phi + static + final)))
+        assert _echo_p1(scales, walk, coherence) == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.floats(min_value=1e-3, max_value=2e-2),
+        f=st.floats(min_value=1e3, max_value=5e3),
+        e0=st.floats(min_value=1e-3, max_value=5e7),
+        n=st.integers(min_value=1, max_value=40),
+        lag=st.floats(min_value=0.0, max_value=math.pi),
+        points=st.sampled_from([1, 2, 3, 201, 2000]),
+    )
+    def test_sweep_columns_are_the_numpy_sweep(self, r, f, e0, n, lag, points):
+        traj = station_trajectory(r, f)
+        sched = build_echo_schedule(n, f, lag)
+        grid = linear_grid(e0, points)
+        sweep = sweep_signal(grid, sched, traj, PARAMS)
+        assert (sweep.e_values, sweep.phases, sweep.p1, sweep.p1_decohered,
+                sweep.slopes, sweep.max_slope_index) == numpy_sweep(grid, sched, traj, PARAMS)
+
+    @pytest.mark.parametrize("e0, points", [(1e308, 2), (1e308, 201), (1e-213, 201)],
+                             ids=["2-step-overflows", "step-products-overflow",
+                                  "step-products-underflow"])
+    def test_sweep_refuses_what_numpy_refuses(self, e0, points):
+        traj = station_trajectory(1e-300, FREQ)
+        sched = build_echo_schedule(1, FREQ)
+        grid = linear_grid(e0, points)
+        assert _numpy_or_refused(lambda: numpy_sweep(grid, sched, traj, PARAMS)) is None
+        with pytest.raises(NumericPreconditionError, match="grid step"):
+            sweep_signal(grid, sched, traj, PARAMS)
 
 
 def loop_crossings(p1_values):
@@ -445,6 +588,8 @@ class TestFringeCrossingCounter:
             max_size=30,
         )
     )
+    @example([0.5 + 2.0 * FRINGE_SNAP, math.nan])
+    @example([math.nan, 0.5, math.nan])
     def test_matches_the_point_by_point_count(self, values):
         assert fringe_zero_crossings(values) == loop_crossings(values)
 
