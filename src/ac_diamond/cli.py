@@ -38,6 +38,8 @@ _LAZY = {
     "station_trajectory": ".geometry",
     "PathSampling": ".holonomy",
     "path_ordered_propagator": ".holonomy",
+    # unused here since each Propagator carries its defect, but the benchmark
+    # tracer patches it at this module (tests/test_tracer_sites.py)
     "unitarity_defect": ".holonomy",
     "monte_carlo_experiment": ".measurement",
     "segment_phase": ".phase",
@@ -180,9 +182,7 @@ def _cmd_holonomy(args) -> int:
         rev = fwd if tilted is planar else path_ordered_propagator(
             PathSampling(0.0, 2.0 * half, steps, tilted, field), params, reverse=True
         )
-        worst_unitarity = max(
-            worst_unitarity, unitarity_defect(prop.U), unitarity_defect(fwd.U)
-        )
+        worst_unitarity = max(worst_unitarity, prop.defect, fwd.defect)
         rows.append(
             (
                 steps,

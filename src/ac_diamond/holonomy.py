@@ -23,21 +23,21 @@ The propagator and the state oracle share one stepper,
 ``_CHUNK_STEPS`` steps, so memory does not grow with the step count, and it
 chooses its path once, from the disk tilt.  The field lies along x, so the
 coupling axis k*(E x v) is k*E*(0, -v_z, v_y).  For an untilted disk (or a
-zero field) it lies exactly along z, G = a_z*Sz, and the stepper sums the midpoint rates a_z
-without building a (N, dim, dim) generator stack, exponentiating or
-multiplying matrices; the forward and reverse products are therefore bitwise
-equal.  A tilted disk's step exponentials are multiplied out from the first
-block on.
+zero field) it lies exactly along z, G = a_z*Sz, and the stepper sums the
+midpoint rates a_z without building a (N, 3, 3) generator stack,
+exponentiating or multiplying matrices; the forward and reverse products are
+therefore bitwise equal.  A tilted disk's step exponentials are multiplied out
+from the first block on.
 
-Basis convention used throughout the package: amplitude vectors and operator
-matrices are indexed by ascending magnetic quantum number, i.e. (|-1>, |0>, |+1>)
-for spin-1 and (|-1/2>, |+1/2>) for spin-1/2.  The NV qubit lives on the
-{|0>, |1>} subspace (indices 1 and 2 of a spin-1 vector).
+Basis convention used throughout the package: the probe is the spin-1 NV
+ground triplet, and amplitude vectors and operator matrices are indexed by
+ascending magnetic quantum number, (|-1>, |0>, |+1>).  The NV qubit lives on
+the {|0>, |1>} subspace (indices 1 and 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,25 +47,19 @@ from .phase import coupling_constant
 from .physics import C_LIGHT, HBAR, MU_B, TWO_PI, NVParameters
 
 MAX_STEP_PHASE = 0.5  # rad; per-step rotation bound for the midpoint exponential
-_CHUNK_STEPS = 8192  # steps per streamed block; bounds the live (steps, dim, dim) stacks
+_CHUNK_STEPS = 8192  # steps per streamed block; bounds the live (steps, 3, 3) stacks
 
 
-def spin_operators(dimension: int) -> np.ndarray:
-    """Spin matrices (Sx, Sy, Sz) in units of hbar as a (3, dim, dim) stack,
-    for spin-1/2 (dimension=2) or spin-1 (dimension=3).
+def spin_operators() -> np.ndarray:
+    """Spin-1 matrices (Sx, Sy, Sz) in units of hbar as a (3, 3, 3) stack.
 
-    Built from the ladder operators in the Sz eigenbasis ordered by ascending m,
-    so Sz = diag(m) with m = -s..+s.
+    Built from the raising operator in the Sz eigenbasis ordered by ascending m,
+    so Sz = diag(-1, 0, 1).
     """
-    if dimension not in (2, 3):
-        raise ValueError(f"unsupported spin dimension {dimension}; expected 2 or 3")
-    s = (dimension - 1) / 2.0
-    m = np.arange(dimension) - s
-    sz = np.diag(m).astype(complex)
-    # (S+)_{m+1,m} = sqrt(s(s+1) - m(m+1))
-    raising = np.zeros((dimension, dimension), dtype=complex)
-    for k in range(dimension - 1):
-        raising[k + 1, k] = np.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
+    sz = np.diag([-1.0, 0.0, 1.0]).astype(complex)
+    # (S+)_{m+1,m} = sqrt(s(s+1) - m(m+1)) = sqrt(2) for s = 1, m = -1, 0
+    raising = np.zeros((3, 3), dtype=complex)
+    raising[1, 0] = raising[2, 1] = np.sqrt(2.0)
     sx = (raising + raising.conj().T) / 2.0
     sy = (raising - raising.conj().T) / 2j
     return np.stack([sx, sy, sz])
@@ -73,14 +67,14 @@ def spin_operators(dimension: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinState:
-    """Normalized complex amplitudes over the ascending-m basis."""
+    """Normalized complex amplitudes over the spin-1 ascending-m basis."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size not in (2, 3):
-            raise ValueError("amplitudes must be a complex vector of length 2 or 3")
+        if amps.shape != (3,):
+            raise ValueError("amplitudes must be a complex vector of length 3")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
@@ -113,8 +107,6 @@ def rotation_matrix(theta: float, phi: float) -> np.ndarray:
 def apply_rotation(state: SpinState, theta: float, phi: float) -> SpinState:
     """Apply a qubit Rabi pulse; the |-1> amplitude is untouched."""
     amps = state.amplitudes.copy()
-    if amps.size != 3:
-        raise ValueError("qubit rotations act on spin-1 states")
     amps[1:] = rotation_matrix(theta, phi) @ amps[1:]
     return SpinState(amps)
 
@@ -147,22 +139,21 @@ class PathSampling:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Unitary result of the path-ordered integration."""
+    """Unitary result of the path-ordered integration, with its unitarity
+    defect (:func:`unitarity_defect`, below 1e-10)."""
 
     U: np.ndarray
+    defect: float = field(init=False)
 
     def __post_init__(self):
-        if unitarity_defect(self.U) >= 1e-10:
+        defect = unitarity_defect(self.U)
+        if defect >= 1e-10:
             raise ValueError("propagator is not unitary to 1e-10")
-
-    @property
-    def dimension(self) -> int:
-        return self.U.shape[0]
+        object.__setattr__(self, "defect", defect)
 
     def abelian_phase(self) -> float:
-        """Phi such that <m_max|U|m_max> = exp(-i*m_max*Phi) (planar case)."""
-        m_max = (self.dimension - 1) / 2.0
-        return float(-np.angle(self.U[-1, -1]) / m_max)
+        """Phi such that <+1|U|+1> = exp(-i*Phi) (planar case)."""
+        return float(-np.angle(self.U[2, 2]))
 
     def offdiagonal_norm(self) -> float:
         off = self.U - np.diag(np.diag(self.U))
@@ -171,24 +162,21 @@ class Propagator:
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry norm of U^dag U - I."""
-    dim = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(3))))
 
 
-def _quadratic_diagonal_shift(magnitude, ops, params, mass) -> np.ndarray:
+def _quadratic_diagonal_shift(magnitude, params, mass) -> np.ndarray:
     """Diagonal of (mu^2 E^2 - (mu S x E)^2)/(2 m c^4 hbar) in rad/s, mu = g*mu_B,
     for the field E = (magnitude, 0, 0).
 
     These are the two quadratic-in-E Hamiltonian terms dropped from the
     coupling; only their level shifts (the echo-cancellable part) are kept.
-    For a c-number E, (S x E)^2 = s(s+1) E^2 - (E.S)^2, and E.S = E*Sx.
+    For E along x, (S x E)^2 = E^2 (Sy^2 + Sz^2), whose spin-1 diagonal is
+    E^2 (3/2, 1, 3/2), so the shifts are (mu*E)^2/(2 m c^4 hbar) * (-1/2, 0, -1/2).
     """
-    mu = params.g * MU_B
-    dim = ops.shape[1]
-    casimir = (dim * dim - 1) / 4.0  # s(s+1) for spin s = (dim - 1)/2
-    e_dot_s = magnitude * ops[0]
-    full = (magnitude * magnitude) * (1.0 - casimir) * np.eye(dim) + e_dot_s @ e_dot_s
-    return mu * mu * np.real(np.diag(full)) / (2.0 * mass * C_LIGHT**4 * HBAR)
+    mu_e = params.g * MU_B * magnitude
+    shift = -0.5 * mu_e * mu_e / (2.0 * mass * C_LIGHT**4 * HBAR)
+    return np.array([shift, 0.0, shift])
 
 
 def _coupling_axes(
@@ -217,12 +205,12 @@ def _times_coupling(components, sampling, params) -> np.ndarray:
     return scaled
 
 
-def _spin_generators(axes: np.ndarray, dimension: int) -> np.ndarray:
-    """G = axes . S for each axis, as a (N, dim, dim) stack."""
-    # one complex matrix product, (N, 3) @ (3, dim*dim)
-    ops = spin_operators(dimension).reshape(3, -1)
+def _spin_generators(axes: np.ndarray) -> np.ndarray:
+    """G = axes . S for each axis, as a (N, 3, 3) stack."""
+    # one complex matrix product, (N, 3) @ (3, 9)
+    ops = spin_operators().reshape(3, -1)
     gens = axes.astype(complex) @ ops
-    return gens.reshape(-1, dimension, dimension)
+    return gens.reshape(-1, 3, 3)
 
 
 def _check_step_bound(step_phase: float) -> None:
@@ -259,7 +247,6 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 def _stream_product(
     sampling: PathSampling,
     params: NVParameters,
-    dimension: int,
     const_diag: np.ndarray,
     reverse: bool,
 ) -> np.ndarray:
@@ -269,10 +256,10 @@ def _stream_product(
     An untilted disk (or a zero field) has every coupling axis exactly along
     z, so every G is a_z*Sz (``spin_operators`` keeps Sx and Sy zero on the
     diagonal), the steps commute, and their product collapses exactly to one
-    exponential of the summed phases m*sum(a_z)*dt; this sums the midpoint
-    rates alone, keeps the result diagonal and at unit modulus, never builds
-    or diagonalises a step, and exponentiates the constant diagonal rates
-    exactly at any step size.  A tilted disk's step exponentials are
+    exponential of the summed phases m*sum(a_z)*dt, m = (-1, 0, 1); this sums
+    the midpoint rates alone, keeps the result diagonal and at unit modulus,
+    never builds or diagonalises a step, and exponentiates the constant
+    diagonal rates exactly at any step size.  A tilted disk's step exponentials are
     multiplied out block by block and folded into a running product, in path
     order or (``reverse``) anti-path order; there the per-step rotation bound
     covers the constant diagonal rates as well as the motional coupling.
@@ -283,21 +270,20 @@ def _stream_product(
         for start in range(0, sampling.steps, _CHUNK_STEPS)
     ]
     if sampling.trajectory.tilt == 0.0 or sampling.field.magnitude == 0.0:
-        m = np.real(np.diag(spin_operators(dimension)[2]))
-        m_max = float(np.max(np.abs(m)))
+        m = np.array([-1.0, 0.0, 1.0])
         rate_z = 0.0
         for start, stop in blocks:
             # k*(v_y*E): the midpoint rate ac_diamond.phase.phase_rate defines
             v = velocity(sampling.trajectory, sampling.midpoints(start, stop))
             a_z = _times_coupling(v[:, 1], sampling, params)
-            # ||a_z*Sz|| = |a_z|*max|m|: the row-sum bound of the diagonal G
-            _check_step_bound(dt * (float(np.max(np.abs(a_z))) * m_max))
+            # ||a_z*Sz|| = |a_z|*max|m| = |a_z|: the row-sum bound of the diagonal G
+            _check_step_bound(dt * float(np.max(np.abs(a_z))))
             rate_z += a_z.sum()
         span = sampling.t_end - sampling.t_start
         return np.diag(np.exp(-1j * (dt * (m * rate_z) + const_diag * span)))
-    product = np.eye(dimension, dtype=complex)
+    product = np.eye(3, dtype=complex)
     for start, stop in blocks:
-        gens = _spin_generators(_coupling_axes(sampling, params, start, stop), dimension)
+        gens = _spin_generators(_coupling_axes(sampling, params, start, stop))
         _check_step_resolution(gens, dt)
         if np.any(const_diag):
             # the whole generator must satisfy the per-step rotation bound
@@ -314,7 +300,7 @@ def _stream_product(
 def path_ordered_propagator(
     sampling: PathSampling,
     params: NVParameters,
-    dimension: int = 3,
+    *,
     reverse: bool = False,
 ) -> Propagator:
     """Path-ordered propagator over the sampled trajectory segment.
@@ -324,14 +310,13 @@ def path_ordered_propagator(
     changes nothing (the two results are bitwise equal); when tilted, forward
     minus reverse is twice the second-order Dyson term to leading order.
     """
-    U = _stream_product(sampling, params, dimension, np.zeros(dimension), reverse)
+    U = _stream_product(sampling, params, np.zeros(3), reverse)
     return Propagator(U=U)
 
 
 def dyson_second_order(
     sampling: PathSampling,
     params: NVParameters,
-    dimension: int = 3,
 ) -> np.ndarray:
     """Ordered double integral (1/2) * iint_{t' < t} [G(t), G(t')] dt' dt.
 
@@ -340,7 +325,7 @@ def dyson_second_order(
     O2 = -(this term).  It vanishes identically for planar motion and scales
     quadratically in the field strength.
     """
-    gens = _spin_generators(_coupling_axes(sampling, params), dimension)
+    gens = _spin_generators(_coupling_axes(sampling, params))
     dt = sampling.dt
     _check_step_resolution(gens, dt)
     cum = np.cumsum(gens, axis=0)
@@ -367,20 +352,12 @@ def effective_hamiltonian_evolve(
     its norm is preserved to rounding however many intervals it is carried
     through.
     """
-    dimension = initial.amplitudes.size
-    const_diag = np.zeros(dimension)
-    if detuning_hz != 0.0:
-        if dimension != 3:
-            raise ValueError("detuning bookkeeping is defined for spin-1 states")
-        const_diag = const_diag + np.array([0.0, 0.0, TWO_PI * detuning_hz])
+    const_diag = np.array([0.0, 0.0, TWO_PI * detuning_hz])
     if quadratic_mass is not None:
         const_diag = const_diag + _quadratic_diagonal_shift(
-            sampling.field.magnitude,
-            spin_operators(dimension),
-            params,
-            quadratic_mass,
+            sampling.field.magnitude, params, quadratic_mass
         )
-    U = _stream_product(sampling, params, dimension, const_diag, False)
+    U = _stream_product(sampling, params, const_diag, False)
     return SpinState(_nearest_unitary(U) @ initial.amplitudes)
 
 

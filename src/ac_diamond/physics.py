@@ -46,16 +46,6 @@ class NVParameters:
             raise ValueError("Stark coefficient R2E must be non-negative")
 
 
-def _any(flags) -> bool:
-    """np.any without numpy: an array or numpy scalar reduces itself, a bool is kept."""
-    return bool(flags.any()) if hasattr(flags, "any") else bool(flags)
-
-
-def _all(flags) -> bool:
-    """np.all without numpy: an array or numpy scalar reduces itself, a bool is kept."""
-    return bool(flags.all()) if hasattr(flags, "all") else bool(flags)
-
-
 def total_rectified_phase(
     radius: float,
     e_field: float,
@@ -65,18 +55,17 @@ def total_rectified_phase(
     """Total pi-pulse-rectified A-C phase 4*g*mu_B*r*E*n/(hbar*c^2).
 
     Fractional n is allowed for diagnostics; the closed form matches the echo
-    simulation only at integer n (station-aligned readout).  Any argument may
-    be a numpy array; scalar arguments give a float.  A phase too large for a
-    float is refused.
+    simulation only at integer n (station-aligned readout).  A phase too large
+    for a float is refused.
     """
-    if _any(radius < 0.0):
+    if radius < 0.0:
         raise ValueError("radius must be non-negative")
-    if _any(e_field < 0.0):
+    if e_field < 0.0:
         raise ValueError("field magnitude must be non-negative")
-    if _any(n_rotations < 0.0):
+    if n_rotations < 0.0:
         raise ValueError("rotation count must be non-negative")
     phase = 4.0 * g * MU_B * radius * e_field * n_rotations / (HBAR * C_LIGHT**2)
-    if not _all(abs(phase) < math.inf):  # False at NaN as well, like np.isfinite
+    if not abs(phase) < math.inf:  # False at NaN as well, like np.isfinite
         raise NumericPreconditionError(
             "total rectified A-C phase is not finite: g*r*E*n too large"
         )

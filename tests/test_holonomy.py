@@ -52,9 +52,9 @@ def scaled_field(traj, budget=0.1, steps=20001):
     return FieldConfig(magnitude=budget / per_volt)
 
 
-def generators(samp, dimension=3):
-    """Midpoint generators G = axes . S of every step, as a (steps, dim, dim) stack."""
-    return _spin_generators(_coupling_axes(samp, PARAMS), dimension)
+def generators(samp):
+    """Midpoint generators G = axes . S of every step, as a (steps, 3, 3) stack."""
+    return _spin_generators(_coupling_axes(samp, PARAMS))
 
 
 class TestCouplingGenerator:
@@ -93,25 +93,16 @@ class TestCouplingGenerator:
         assert ratio <= np.tan(tilt) + 1e-9
         assert ratio == pytest.approx(np.sin(tilt), rel=1e-3)
 
-    def test_spin_half_dimension(self):
-        gen = generators(sampling(1), dimension=2)[0]
-        assert gen.shape == (2, 2)
-        assert np.real(gen[1, 1]) == pytest.approx(
-            0.5 * coupling_constant(PARAMS) * 3e7 * 2 * np.pi * FREQ * RADIUS,
-            rel=1e-9,
-        )
-
     def test_quadratic_terms_add_constant_diagonal(self):
         # E along x: (S x E)^2 = E^2 (Sy^2 + Sz^2), whose spin-1 diagonal is
         # E^2 (3/2, 1, 3/2), so the level shifts are scale * (-1/2, 0, -1/2)
         mass = 2e-26
         mu = PARAMS.g * MU_B
         scale = (mu * 3e7) ** 2 / (2.0 * mass * C_LIGHT**4 * HBAR)
-        shift = _quadratic_diagonal_shift(FIELD.magnitude, spin_operators(3), PARAMS, mass)
+        shift = _quadratic_diagonal_shift(FIELD.magnitude, PARAMS, mass)
         assert shift == pytest.approx(scale * np.array([-0.5, 0.0, -0.5]), rel=1e-12)
 
-    @pytest.mark.parametrize("dim", [2, 3], ids=["spin-half", "spin-1"])
-    def test_quadratic_shift_matches_levi_civita_sum(self, dim):
+    def test_quadratic_shift_matches_levi_civita_sum(self):
         # (S x E)_i = sum_jk eps_ijk S_j E_k, squared and summed over i
         def eps(i, j, k):
             return (i - j) * (j - k) * (k - i) / 2
@@ -119,14 +110,14 @@ class TestCouplingGenerator:
         mass = 2e-26
         mu = PARAMS.g * MU_B
         e_vec = np.array([3e7, 0.0, 0.0])
-        ops = spin_operators(dim)
+        ops = spin_operators()
         sxe = [
             sum(eps(i, j, k) * ops[j] * e_vec[k] for j in range(3) for k in range(3))
             for i in range(3)
         ]
-        full = (e_vec @ e_vec) * np.eye(dim) - sum(c @ c for c in sxe)
+        full = (e_vec @ e_vec) * np.eye(3) - sum(c @ c for c in sxe)
         expected = mu * mu * np.real(np.diag(full)) / (2.0 * mass * C_LIGHT**4 * HBAR)
-        shift = _quadratic_diagonal_shift(3e7, ops, PARAMS, mass)
+        shift = _quadratic_diagonal_shift(3e7, PARAMS, mass)
         np.testing.assert_allclose(
             shift, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected))
         )
@@ -175,7 +166,7 @@ class TestPathOrderedPropagator:
     def test_unitarity(self, tilt):
         traj = station_trajectory(RADIUS, FREQ, tilt=tilt)
         prop = path_ordered_propagator(sampling(5000, traj=traj), PARAMS)
-        assert unitarity_defect(prop.U) < 1e-10
+        assert prop.defect == unitarity_defect(prop.U) < 1e-10
 
     def test_abelian_reduction_offdiagonal(self):
         prop = path_ordered_propagator(sampling(20000), PARAMS)
@@ -188,11 +179,10 @@ class TestPathOrderedPropagator:
         second = path_ordered_propagator(sampling(2000, t0=mid, t1=HALF), PARAMS)
         assert np.max(np.abs(second.U @ first.U - full.U)) < 1e-9
 
-    def test_spin_half_phase(self):
-        exact = segment_phase(0.0, HALF, PLANAR, FIELD, PARAMS)
-        prop = path_ordered_propagator(sampling(20000), PARAMS, dimension=2)
-        assert prop.dimension == 2
-        assert abs(prop.abelian_phase() - exact) < 1e-7
+    def test_reverse_is_keyword_only(self):
+        # a caller still passing a spin dimension by position is refused
+        with pytest.raises(TypeError):
+            path_ordered_propagator(sampling(100), PARAMS, 3)
 
     def test_nonunitary_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -242,18 +232,17 @@ class TestStreamingStepper:
         )
         assert out.population(0) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("dimension", [3, 2], ids=["spin-1", "spin-half"])
     @pytest.mark.parametrize(
         "steps", [1, _CHUNK_STEPS - 1, _CHUNK_STEPS + 1, 3 * _CHUNK_STEPS + 5]
     )
-    def test_planar_axes_path_equals_generator_stack_bitwise(self, steps, dimension):
-        # the diagonal product from the whole-grid (N, dim, dim) generator
+    def test_planar_axes_path_equals_generator_stack_bitwise(self, steps):
+        # the diagonal product from the whole-grid (N, 3, 3) generator
         # stack, its rates summed in the stepper's blocks
         samp = sampling(steps, t1=0.6 / FREQ, field=scaled_field(PLANAR))
-        gens, dt = generators(samp, dimension), samp.dt
-        assert not np.any(gens - np.einsum("nii->ni", gens)[:, :, None] * np.eye(dimension))
+        gens, dt = generators(samp), samp.dt
+        assert not np.any(gens - np.einsum("nii->ni", gens)[:, :, None] * np.eye(3))
         rates = np.ascontiguousarray(np.einsum("nii->in", gens).real)
-        summed = np.zeros(dimension)
+        summed = np.zeros(3)
         for start in range(0, steps, _CHUNK_STEPS):
             summed += rates[:, start : start + _CHUNK_STEPS].sum(axis=1)
 
@@ -261,17 +250,12 @@ class TestStreamingStepper:
             span = samp.t_end - samp.t_start
             return np.diag(np.exp(-1j * (dt * summed + const_diag * span)))
 
-        prop = path_ordered_propagator(samp, PARAMS, dimension=dimension)
-        assert np.array_equal(prop.U, reference(np.zeros(dimension)))
+        prop = path_ordered_propagator(samp, PARAMS)
+        assert np.array_equal(prop.U, reference(np.zeros(3)))
 
-        if dimension == 3:
-            initial = SpinState(np.array([0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
-            out = effective_hamiltonian_evolve(samp, PARAMS, initial, detuning_hz=1e5)
-            const_diag = np.array([0.0, 0.0, 2.0 * np.pi * 1e5])
-        else:
-            initial = SpinState(np.array([0.6, 0.8]))
-            out = effective_hamiltonian_evolve(samp, PARAMS, initial)
-            const_diag = np.zeros(2)
+        initial = SpinState(np.array([0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
+        out = effective_hamiltonian_evolve(samp, PARAMS, initial, detuning_hz=1e5)
+        const_diag = np.array([0.0, 0.0, 2.0 * np.pi * 1e5])
         expected = _nearest_unitary(reference(const_diag)) @ initial.amplitudes
         assert np.array_equal(out.amplitudes, expected)
 
@@ -291,12 +275,11 @@ class TestStreamingStepper:
         assert len(eigh_calls) == 2  # one per block
         assert np.max(np.abs(prop.U - expected)) < 1e-13
 
-    @pytest.mark.parametrize("dimension", [3, 2], ids=["spin-1", "spin-half"])
-    def test_coarse_planar_step_refused_alike_on_both_paths(self, dimension):
+    def test_coarse_planar_step_refused_alike_on_both_paths(self):
         with pytest.raises(NumericPreconditionError, match="step too coarse") as axes_path:
-            path_ordered_propagator(sampling(1), PARAMS, dimension=dimension)
+            path_ordered_propagator(sampling(1), PARAMS)
         with pytest.raises(NumericPreconditionError) as general_path:
-            path_ordered_propagator(sampling(1, traj=BARELY_TILTED), PARAMS, dimension=dimension)
+            path_ordered_propagator(sampling(1, traj=BARELY_TILTED), PARAMS)
         assert str(general_path.value) == str(axes_path.value)
 
     def test_peak_memory_does_not_grow_with_steps(self):
@@ -324,7 +307,7 @@ def _exp_hermitian(h, t=1.0):
 OMEGA = coupling_constant(PARAMS) * FIELD.magnitude * 2.0 * np.pi * FREQ * RADIUS
 
 
-def rabi_reference(t0, t1, dimension, reverse=False):
+def rabi_reference(t0, t1, reverse=False):
     """Exact propagator of the disk tilted by pi/2, from t0 to t1.
 
     With E along x the coupling axis is Omega*(0, -sin(theta), cos(theta)),
@@ -335,7 +318,7 @@ def rabi_reference(t0, t1, dimension, reverse=False):
     algebra).  The reverse-ordered product is the adjoint of the ordered
     propagator of -G.
     """
-    sx, _, sz = spin_operators(dimension)
+    sx, _, sz = spin_operators()
     turn = 2.0 * np.pi * FREQ
     theta0, theta1 = (STATION_A_ANGLE + turn * t for t in (t0, t1))
     sign = -1.0 if reverse else 1.0
@@ -354,21 +337,20 @@ class TestQuarterTurnTiltReference:
     PERIOD = 1.0 / FREQ
     # c in the bound c*dt^2 with dt in units of the period, i.e. the largest
     # |U - U_exact| * steps^2 over one rotation at r = 0.01 m, f = 4 kHz,
-    # E = 3e7 V/m: measured 2.590 (spin-1) and 1.468 (spin-1/2) in both
-    # directions, plus 5% headroom
-    ERROR_CONSTANT = {3: 2.72, 2: 1.54}
+    # E = 3e7 V/m: measured 2.590 in both directions, plus 5% headroom
+    ERROR_CONSTANT = 2.72
     # each eigendecomposed step is unitary to ~1e-15, so 1e4 steps stay far
     # below this
     ROUNDING = 1e-12
 
-    def tolerance(self, steps, dimension):
+    def tolerance(self, steps):
         dt = self.PERIOD / steps
-        return self.ERROR_CONSTANT[dimension] * (dt / self.PERIOD) ** 2 + self.ROUNDING
+        return self.ERROR_CONSTANT * (dt / self.PERIOD) ** 2 + self.ROUNDING
 
-    def error(self, steps, dimension, reverse):
+    def error(self, steps, reverse):
         samp = sampling(steps, t1=self.PERIOD, traj=self.TILT_90)
-        prop = path_ordered_propagator(samp, PARAMS, dimension=dimension, reverse=reverse)
-        return np.max(np.abs(prop.U - rabi_reference(0.0, self.PERIOD, dimension, reverse)))
+        prop = path_ordered_propagator(samp, PARAMS, reverse=reverse)
+        return np.max(np.abs(prop.U - rabi_reference(0.0, self.PERIOD, reverse)))
 
     def test_axis_model_matches_coupling_axes(self):
         samp = sampling(64, t1=self.PERIOD, traj=self.TILT_90)
@@ -377,19 +359,18 @@ class TestQuarterTurnTiltReference:
         assert np.max(np.abs(_coupling_axes(samp, PARAMS) - model)) < 1e-12 * OMEGA
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-    @pytest.mark.parametrize("dimension", [3, 2], ids=["spin-1", "spin-half"])
-    def test_propagator_is_second_order_accurate(self, dimension, reverse):
-        errors = {steps: self.error(steps, dimension, reverse) for steps in (1000, 10000)}
+    def test_propagator_is_second_order_accurate(self, reverse):
+        errors = {steps: self.error(steps, reverse) for steps in (1000, 10000)}
         for steps, err in errors.items():
-            assert err <= self.tolerance(steps, dimension)
+            assert err <= self.tolerance(steps)
         assert errors[1000] / errors[10000] == pytest.approx(100.0, rel=1e-3)
 
     def test_oracle_run_matches_reference(self):
         initial = SpinState(np.array([0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
         samp = sampling(10000, t1=self.PERIOD, traj=self.TILT_90)
         out = effective_hamiltonian_evolve(samp, PARAMS, initial)
-        expected = rabi_reference(0.0, self.PERIOD, 3) @ initial.amplitudes
-        assert np.max(np.abs(out.amplitudes - expected)) <= self.tolerance(10000, 3)
+        expected = rabi_reference(0.0, self.PERIOD) @ initial.amplitudes
+        assert np.max(np.abs(out.amplitudes - expected)) <= self.tolerance(10000)
 
 
 class TestDysonSecondOrder:

@@ -147,22 +147,13 @@ class TestTotalRectifiedPhase:
         one = total_rectified_phase(0.01, 3e7, 1.0, 2.0)
         ten = total_rectified_phase(0.01, 3e7, 10.0, 2.0)
         assert ten == pytest.approx(10.0 * one, rel=1e-12)
+        assert type(one) is float
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
             total_rectified_phase(-0.01, 3e7, 1.0, 2.0)
         with pytest.raises(ValueError):
             total_rectified_phase(0.01, -3e7, 1.0, 2.0)
-
-    def test_array_field_matches_scalar_calls(self):
-        fields = np.linspace(0.0, 3e7, 7)
-        phis = total_rectified_phase(0.01, fields, 7, 2.0)
-        assert phis.tolist() == [total_rectified_phase(0.01, e, 7, 2.0) for e in fields]
-        assert type(total_rectified_phase(0.01, 3e7, 7, 2.0)) is float
-
-    def test_array_with_a_negative_field_rejected(self):
-        with pytest.raises(ValueError):
-            total_rectified_phase(0.01, np.array([0.0, -1.0, 3e7]), 7, 2.0)
 
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_rectification_identity(self, n):
@@ -209,19 +200,8 @@ NAN, INF = np.nan, np.inf
 @pytest.mark.parametrize(
     "args",
     [
-        (np.array([0.01, NAN]), 3e7, 7, 2.0),
-        (np.array([0.01, INF]), 3e7, 7, 2.0),
-        (np.array([0.01, -INF]), 3e7, 7, 2.0),
-        (np.array([0.01, -0.01]), 3e7, 7, 2.0),
-        (np.array([NAN, -1.0]), 3e7, 7, 2.0),  # the NaN must not hide the negative
-        (0.01, np.array([3e7, NAN, -1.0]), 7, 2.0),
-        (0.01, 3e7, np.array([1.0, 7.0, INF]), 2.0),
-        (0.01, 3e7, np.array([-1.0, 7.0]), 2.0),
-        (0.01, 3e7, 7, np.array([2.0, INF])),
-        (0.01, 3e7, 7, np.array([2.0, -INF])),
         (0.01, 3e7, 7, -2.0),
         (0.01, 3e7, 7, -1e300),
-        (np.array([1e300]), np.array([1e300]), 7, 2.0),
         (np.array(0.01), np.array(3e7), np.array(7.0), 2.0),
         (np.array(-0.01), 3e7, 7, 2.0),
         (np.array(NAN), 3e7, 7, 2.0),
@@ -235,7 +215,6 @@ NAN, INF = np.nan, np.inf
         (1, 30000000, -7, 2),
         (0.01, NAN, 7, 2.0),
         (1e200, 1e200, 7.2, 2.0),
-        (np.array([]), 3e7, 7, 2.0),
     ],
 )
 def test_checks_refuse_and_accept_as_numpy_does(args):

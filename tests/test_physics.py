@@ -35,45 +35,32 @@ class TestNVParameters:
 
 
 class TestSpinOperators:
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_hermitian(self, dim):
-        for mat in spin_operators(dim):
+    def test_hermitian(self):
+        for mat in spin_operators():
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-14
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_cyclic_commutators(self, dim):
-        sx, sy, sz = spin_operators(dim)
+    def test_cyclic_commutators(self):
+        sx, sy, sz = spin_operators()
         triples = [(sx, sy, sz), (sy, sz, sx), (sz, sx, sy)]
         for a, b, c in triples:
             assert np.max(np.abs(a @ b - b @ a - 1j * c)) < 1e-14
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_casimir(self, dim):
-        sx, sy, sz = spin_operators(dim)
-        s = (dim - 1) / 2.0
+    def test_casimir(self):
+        # s(s+1) = 2 for spin 1
+        sx, sy, sz = spin_operators()
         total = sx @ sx + sy @ sy + sz @ sz
-        assert np.max(np.abs(total - s * (s + 1) * np.eye(dim))) < 1e-14
-
-    def test_spin_half_spectrum(self):
-        spectrum = np.sort(np.linalg.eigvalsh(spin_operators(2)[2]))[::-1]
-        assert np.allclose(spectrum, [0.5, -0.5], atol=1e-14)
+        assert np.max(np.abs(total - 2.0 * np.eye(3))) < 1e-14
 
     def test_spin_one_spectrum(self):
-        spectrum = np.sort(np.linalg.eigvalsh(spin_operators(3)[2]))[::-1]
+        spectrum = np.sort(np.linalg.eigvalsh(spin_operators()[2]))[::-1]
         assert np.allclose(spectrum, [1.0, 0.0, -1.0], atol=1e-14)
 
     def test_ascending_basis_order(self):
         # shared package convention: index order (|-1>, |0>, |+1>)
-        assert np.allclose(np.diag(spin_operators(3)[2]), [-1.0, 0.0, 1.0])
-        assert np.allclose(np.diag(spin_operators(2)[2]), [-0.5, 0.5])
+        assert np.allclose(np.diag(spin_operators()[2]), [-1.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_stack_shape(self, dim):
-        assert spin_operators(dim).shape == (3, dim, dim)
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            spin_operators(4)
+    def test_stack_shape(self):
+        assert spin_operators().shape == (3, 3, 3)
 
 
 def _normalized_state(raw):
@@ -119,6 +106,12 @@ class TestSpinState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             SpinState(np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("amps", [[0.6, 0.8], [[0.0, 1.0, 0.0]], [0.0, 0.6, 0.8, 0.0]],
+                             ids=["spin-half", "matrix", "length-4"])
+    def test_rejects_anything_but_a_spin_one_vector(self, amps):
+        with pytest.raises(ValueError, match="length 3"):
+            SpinState(np.array(amps))
 
     def test_population(self):
         state = SpinState.ground()

@@ -13,7 +13,7 @@ from ac_diamond.config import MAX_ROTATIONS, integer_rotations
 from ac_diamond.errors import NumericPreconditionError
 from ac_diamond.geometry import FieldConfig, station_trajectory
 from ac_diamond.phase import total_rectified_phase
-from ac_diamond.physics import NVParameters, stark_shift
+from ac_diamond.physics import C_LIGHT, HBAR, MU_B, NVParameters, stark_shift
 from ac_diamond.sequence import (
     FRINGE_SNAP,
     EchoSchedule,
@@ -433,7 +433,8 @@ def numpy_sweep(grid, sched, traj, params):
     phi, static, final = _closed_form_walk(sched, traj, FieldConfig(magnitude=1.0),
                                            params, 0.0)
     p1 = 0.5 * (1.0 + 1.0 * np.cos(e * phi + static + final))
-    phases = total_rectified_phase(traj.radius, e, sched.n_rotations, params.g)
+    phases = (4.0 * params.g * MU_B * traj.radius * e * sched.n_rotations
+              / (HBAR * C_LIGHT**2))
     envelope = math.exp(-sched.duration / params.T2)
     p1_decohered = 0.5 + envelope * (p1 - 0.5)
     slopes = np.gradient(p1_decohered, e) if e.size > 1 else np.zeros(1)
@@ -677,3 +678,22 @@ class TestTiltedOracle:
 
         coarse, mid, fine = p1(5000), p1(10000), p1(20000)
         assert (coarse - mid) / (mid - fine) == pytest.approx(4.0, rel=0.05)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_p1_shift_is_second_order_in_the_tilt(self, n):
+        # Tilting about y leaves y(t) unchanged, and z returns to its value at
+        # every station, so each interval's first-order Magnus term k*E*dy*Sz
+        # is the planar one: the tilt enters only through the commutator, and
+        # the echo's p1 shift is second order in it.
+        sched = build_echo_schedule(n, 4000.0, 1.0)
+        field = FieldConfig(magnitude=3e7)
+
+        def p1(tilt):
+            traj = station_trajectory(0.01, 4000.0, tilt=tilt)
+            return simulate_run(
+                sched, traj, field, NVParameters(), mode="oracle", steps_per_interval=2000,
+            ).p1
+
+        planar = p1(0.0)
+        exponent = math.log2((p1(0.05) - planar) / (p1(0.025) - planar))
+        assert exponent == pytest.approx(2.0, abs=0.05)
