@@ -184,6 +184,22 @@ class TestPathOrderedPropagator:
         with pytest.raises(TypeError):
             path_ordered_propagator(sampling(100), PARAMS, 3)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda samp: path_ordered_propagator(samp, PARAMS, dimension=3),
+            lambda samp: dyson_second_order(samp, PARAMS, dimension=3),
+            lambda samp: effective_hamiltonian_evolve(samp, PARAMS, SpinState.ground(),
+                                                      dimension=3),
+            lambda samp: Propagator(np.eye(3), dimension=3),
+        ],
+        ids=["path_ordered_propagator", "dyson_second_order",
+             "effective_hamiltonian_evolve", "Propagator"],
+    )
+    def test_spin_dimension_keyword_refused(self, call):
+        with pytest.raises(TypeError, match="dimension"):
+            call(sampling(100))
+
     def test_nonunitary_matrix_rejected(self):
         with pytest.raises(ValueError):
             Propagator(U=np.diag([1.0, 1.0, 2.0]).astype(complex))
@@ -233,7 +249,9 @@ class TestStreamingStepper:
         assert out.population(0) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "steps", [1, _CHUNK_STEPS - 1, _CHUNK_STEPS + 1, 3 * _CHUNK_STEPS + 5]
+        "steps",
+        [1, _CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 1, 2 * _CHUNK_STEPS,
+         3 * _CHUNK_STEPS + 5],
     )
     def test_planar_axes_path_equals_generator_stack_bitwise(self, steps):
         # the diagonal product from the whole-grid (N, 3, 3) generator

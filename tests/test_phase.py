@@ -215,6 +215,20 @@ NAN, INF = np.nan, np.inf
         (1, 30000000, -7, 2),
         (0.01, NAN, 7, 2.0),
         (1e200, 1e200, 7.2, 2.0),
+        (-0.01, 3e7, 7, 2.0),
+        (NAN, 3e7, 7, 2.0),
+        (INF, 3e7, 7, 2.0),
+        (-INF, 3e7, 7, 2.0),
+        (NAN, -1.0, 7, 2.0),  # the NaN must not hide the negative field
+        (0.01, -INF, 7, 2.0),
+        (0.0, INF, 7, 2.0),  # 0 * inf is NaN
+        (0.01, 3e7, INF, 2.0),
+        (0.01, 3e7, -1.0, 2.0),
+        (0.01, 3e7, NAN, 2.0),
+        (0.01, 3e7, 7, INF),
+        (0.01, 3e7, 7, -INF),
+        (0.01, 3e7, 7, NAN),
+        (1e300, 1e300, 7, 2.0),
     ],
 )
 def test_checks_refuse_and_accept_as_numpy_does(args):

@@ -55,6 +55,30 @@ class TestSpinOperators:
         spectrum = np.sort(np.linalg.eigvalsh(spin_operators()[2]))[::-1]
         assert np.allclose(spectrum, [1.0, 0.0, -1.0], atol=1e-14)
 
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    def test_transverse_spectrum(self, axis):
+        spectrum = np.sort(np.linalg.eigvalsh(spin_operators()[axis]))[::-1]
+        assert np.allclose(spectrum, [1.0, 0.0, -1.0], atol=1e-14)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+    def test_component_cubed_is_itself(self, axis):
+        # eigenvalues in {-1, 0, 1}, so S_i^3 = S_i holds only for spin 1
+        s = spin_operators()[axis]
+        assert np.max(np.abs(s @ s @ s - s)) < 1e-14
+
+    def test_raising_operator(self):
+        # Sx + i*Sy is the raising operator, sqrt(2) on |-1> -> |0> -> |+1>
+        sx, sy, sz = spin_operators()
+        raising = sx + 1j * sy
+        expected = np.zeros((3, 3))
+        expected[1, 0] = expected[2, 1] = np.sqrt(2.0)
+        assert np.max(np.abs(raising - expected)) < 1e-15
+        assert np.max(np.abs(sz @ raising - raising @ sz - raising)) < 1e-14
+
+    def test_takes_no_dimension(self):
+        with pytest.raises(TypeError):
+            spin_operators(3)
+
     def test_ascending_basis_order(self):
         # shared package convention: index order (|-1>, |0>, |+1>)
         assert np.allclose(np.diag(spin_operators()[2]), [-1.0, 0.0, 1.0])
@@ -107,8 +131,11 @@ class TestSpinState:
         with pytest.raises(ValueError):
             SpinState(np.array([1.0, 1.0, 0.0]))
 
-    @pytest.mark.parametrize("amps", [[0.6, 0.8], [[0.0, 1.0, 0.0]], [0.0, 0.6, 0.8, 0.0]],
-                             ids=["spin-half", "matrix", "length-4"])
+    @pytest.mark.parametrize(
+        "amps",
+        [[0.6, 0.8], [[0.0, 1.0, 0.0]], [0.0, 0.6, 0.8, 0.0], 1.0, [], [[0.0], [1.0], [0.0]]],
+        ids=["spin-half", "matrix", "length-4", "scalar", "empty", "column"],
+    )
     def test_rejects_anything_but_a_spin_one_vector(self, amps):
         with pytest.raises(ValueError, match="length 3"):
             SpinState(np.array(amps))
