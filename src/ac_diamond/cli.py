@@ -22,16 +22,13 @@ from .physics import (
     total_rectified_phase,
 )
 
-# These subcommands compute Python floats only, and never import numpy.  The
-# scalar ones need nothing beyond ``physics`` and ``config``; the closed-form
-# ones run on the engine in ``geometry``, ``phase`` and ``sequence``.
-SCALAR_COMMANDS = ("phase", "sensitivity", "stark")
-CLOSED_FORM_COMMANDS = ("sweep", "echo-check")
+# The closed-form engine, which runs in Python floats without numpy.
 CLOSED_FORM_MODULES = (".geometry", ".phase", ".sequence")
-# The other subcommands' names, by defining module.  A name is imported on
-# first attribute access (``__getattr__``), or by ``main`` before such a
-# subcommand runs; a name already set on this module, e.g. by a tracer or a
-# test double, is kept.
+# The names the subcommands use from the engine and numpy modules, by defining
+# module.  A name is imported on first attribute access (``__getattr__``), or
+# by ``main`` before a subcommand whose ``SUBCOMMANDS`` entry lists its module
+# runs; a name already set on this module, e.g. by a tracer or a test double,
+# is kept.
 _LAZY = {
     "np": "numpy",
     "FieldConfig": ".geometry",
@@ -65,11 +62,11 @@ def __getattr__(name):
     return value
 
 
-def _bind_lazy(modules=None) -> None:
-    """Bind every lazy name not yet set, or only those defined in
-    ``modules``, so that global lookups find them."""
+def _bind_lazy(modules) -> None:
+    """Bind the lazy names defined in ``modules`` and not yet set, so that
+    global lookups find them."""
     for name, module in _LAZY.items():
-        if name not in globals() and (modules is None or module in modules):
+        if module in modules and name not in globals():
             __getattr__(name)
 
 
@@ -295,6 +292,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# name -> (handler, help, the _LAZY modules whose names the handler uses,
+# its count flag as (flag, default, help) or None).  A numpy subcommand runs
+# under np.errstate; the others compute Python floats, which the code checks
+# for overflow itself.
+SUBCOMMANDS = {
+    "phase": (_cmd_phase, "closed-form total rectified A-C phase", (), None),
+    "sweep": (_cmd_sweep, "fluorescence signal vs field strength",
+              CLOSED_FORM_MODULES, ("--grid", 201, "number of sweep grid points")),
+    "holonomy": (_cmd_holonomy, "path-ordered propagator diagnostics",
+                 ("numpy", ".geometry", ".phase", ".holonomy"),
+                 ("--steps", 100000, "finest path-integration step count")),
+    "sensitivity": (_cmd_sensitivity, "contrast and phase sensitivity report", (), None),
+    "montecarlo": (_cmd_montecarlo, "photon-count Monte Carlo phase estimate",
+                   ("numpy", *CLOSED_FORM_MODULES, ".measurement"), None),
+    "stark": (_cmd_stark, "ground-state Stark shift and adiabaticity", (), None),
+    "echo-check": (_cmd_echo_check, "residual phase vs constant detuning",
+                   CLOSED_FORM_MODULES, None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ac-diamond",
@@ -305,59 +322,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, steps=False, grid=False):
+    for name, (handler, help_text, modules, count) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="experiment config file (key = value lines)")
         p.add_argument("--out", help="CSV output path (default: stdout)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        if steps:
-            p.add_argument("--steps", type=_positive_int, default=100000,
-                           help="finest path-integration step count")
-        if grid:
-            p.add_argument("--grid", type=_positive_int, default=201,
-                           help="number of sweep grid points")
-
-    p = sub.add_parser("phase", help="closed-form total rectified A-C phase")
-    common(p)
-    p.set_defaults(func=_cmd_phase)
-
-    p = sub.add_parser("sweep", help="fluorescence signal vs field strength")
-    common(p, grid=True)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("holonomy", help="path-ordered propagator diagnostics")
-    common(p, steps=True)
-    p.set_defaults(func=_cmd_holonomy)
-
-    p = sub.add_parser("sensitivity", help="contrast and phase sensitivity report")
-    common(p)
-    p.set_defaults(func=_cmd_sensitivity)
-
-    p = sub.add_parser("montecarlo", help="photon-count Monte Carlo phase estimate")
-    common(p)
-    p.set_defaults(func=_cmd_montecarlo)
-
-    p = sub.add_parser("stark", help="ground-state Stark shift and adiabaticity")
-    common(p)
-    p.set_defaults(func=_cmd_stark)
-
-    p = sub.add_parser("echo-check", help="residual phase vs constant detuning")
-    common(p)
-    p.set_defaults(func=_cmd_echo_check)
-
+        if count:
+            flag, default, flag_help = count
+            p.add_argument(flag, type=_positive_int, default=default, help=flag_help)
+        p.set_defaults(func=handler, modules=modules)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Python floats, which the code checks for overflow: no numpy needed
-        if args.command in SCALAR_COMMANDS:
+        _bind_lazy(args.modules)
+        if "numpy" not in args.modules:
             return args.func(args)
-        if args.command in CLOSED_FORM_COMMANDS:
-            _bind_lazy(CLOSED_FORM_MODULES)
-            return args.func(args)
-        _bind_lazy()
         # a float overflow, 0/0 or x/0 is a numeric precondition violation
         # (exit 3), not a warning printed before inf/NaN output
         with np.errstate(over="raise", divide="raise", invalid="raise"):

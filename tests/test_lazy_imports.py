@@ -18,14 +18,16 @@ DEFAULT_CFG = str(ROOT / "configs" / "default.cfg")
 PHI10_CFG = str(ROOT / "configs" / "phi10.cfg")
 
 # Runs the CLI as ``python -m ac_diamond.cli`` does, then reports its exit code,
-# whether numpy was loaded and which of the closed-form engine's modules were.
+# whether numpy was loaded and which of the closed-form engine's modules and
+# the stepper were.
 RUN_CLI = """
 import runpy, sys
 sys.argv = ["ac-diamond", *sys.argv[1:]]
 try:
     runpy.run_module("ac_diamond.cli", run_name="__main__")
 except SystemExit as exc:
-    engine = [m for m in ("geometry", "phase", "sequence") if "ac_diamond." + m in sys.modules]
+    engine = [m for m in ("geometry", "phase", "sequence", "holonomy")
+              if "ac_diamond." + m in sys.modules]
     print(exc.code, "numpy" in sys.modules, ",".join(engine) or "-")
 """
 ENGINE = "geometry,phase,sequence"
@@ -70,11 +72,17 @@ def test_closed_form_subcommands_never_load_numpy(argv, config_text, code, engin
     assert _fresh_interpreter(RUN_CLI, *argv, "--out", out) == [code, "False", engine]
 
 
-@pytest.mark.parametrize("command", ["montecarlo", "holonomy"])
-def test_numpy_subcommand_is_seen_loading_numpy(command, tmp_path):
-    # the probe above can tell: montecarlo and holonomy do load numpy
+@pytest.mark.parametrize(
+    "command, engine",
+    [("montecarlo", ENGINE), ("holonomy", "geometry,phase,holonomy")],
+    ids=["montecarlo", "holonomy"],
+)
+def test_numpy_subcommand_is_seen_loading_numpy(command, engine, tmp_path):
+    # the probe above can tell: montecarlo and holonomy do load numpy, and
+    # each loads only the modules its handler runs on (montecarlo no
+    # holonomy, holonomy no sequence)
     argv = [command, "--config", PHI10_CFG, "--out", str(tmp_path / "out.csv")]
-    assert _fresh_interpreter(RUN_CLI, *argv) == ["0", "True", ENGINE]
+    assert _fresh_interpreter(RUN_CLI, *argv) == ["0", "True", engine]
 
 
 def test_bare_package_import_loads_no_numpy():
@@ -131,9 +139,10 @@ def test_closed_form_subcommands_bind_no_numpy_names(command, tmp_path):
     out = str(tmp_path / "out.csv")
     assert cli.main([command, "--config", PHI10_CFG, "--out", out]) == 0
     assert len(calls) == (command == "sweep")
+    _, _, modules, _ = cli.SUBCOMMANDS[command]
     bound = {name for name in cli._LAZY if name in vars(cli)}
-    assert bound == {name for name, module in cli._LAZY.items()
-                     if module in cli.CLOSED_FORM_MODULES}
+    assert bound == {name for name, module in cli._LAZY.items() if module in modules}
+    assert "np" not in bound
     assert cli.sweep_signal is sweep
     assert vars(cli)["simulate_run"] is sequence.simulate_run
 
