@@ -305,7 +305,7 @@ SUBCOMMANDS = {
                  ("--steps", 100000, "finest path-integration step count")),
     "sensitivity": (_cmd_sensitivity, "contrast and phase sensitivity report", (), None),
     "montecarlo": (_cmd_montecarlo, "photon-count Monte Carlo phase estimate",
-                   ("numpy", *CLOSED_FORM_MODULES, ".measurement"), None),
+                   (*CLOSED_FORM_MODULES, ".measurement"), None),
     "stark": (_cmd_stark, "ground-state Stark shift and adiabaticity", (), None),
     "echo-check": (_cmd_echo_check, "residual phase vs constant detuning",
                    CLOSED_FORM_MODULES, None),

@@ -5,20 +5,28 @@ Poisson statistics; the contrast factor (:func:`ac_diamond.physics.contrast`)
 folds them into a single per-shot quality number.  At a quadrature bias point
 the per-shot phase variance is exactly 1/(C^2 * exp(-2*t_r/T2)), which is what
 ties the analytic formulas to the Monte Carlo experiment.
+
+The experiment computes in Python floats and imports no numpy.  Every draw is
+a ``random.Random(seed).random()`` uniform, a sequence Python keeps the same
+across versions, so the estimates are a pure function of (inputs, seed).  The
+photon counts come from a Poisson sampler built on those uniforms alone.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NumericPreconditionError
 from .geometry import DiskTrajectory, FieldConfig
 from .physics import NVParameters, ReadoutModel
 from .physics import contrast  # noqa: F401  (callers import it from here)
 from .sequence import EchoSchedule, simulate_run
+
+# The largest Poisson mean numpy's generator accepts, so that every count fits
+# an int64: the int64 maximum less ten of its square roots (about 9.22e18).
+POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,9 @@ def monte_carlo_experiment(
     Each shot draws the spin state from the fringe probability p1, then a
     Poisson photon count with the state's mean; the linear estimator
     phi_hat = phi_bias + (p1_hat - p1)/slope is exactly unbiased.  All draws
-    come from one seeded generator, so results are a pure function of
-    (inputs, seed).
+    come from one ``random.Random(seed)``, so results are a pure function of
+    (inputs, seed).  A photon count mean above ``POISSON_LAM_MAX`` raises
+    NumericPreconditionError.
     """
     if shots < 1:
         raise ValueError("shots must be a positive integer")
@@ -67,20 +76,82 @@ def monte_carlo_experiment(
         raise NumericPreconditionError(
             "bias point sits at zero fringe slope; phase is not invertible there"
         )
-    rng = np.random.default_rng(seed)
-    in_state_1 = rng.random(shots) < run.p1
-    means = np.where(in_state_1, model.alpha1, model.alpha0)
-    try:
-        counts = rng.poisson(means)
-    except ValueError as exc:  # a mean beyond the sampler's int64 counts
-        raise NumericPreconditionError(f"photon count mean out of range: {exc}") from None
-    p1_hat = (model.alpha0 - counts) / (model.alpha0 - model.alpha1)
-    estimates = phi_bias + (p1_hat - run.p1) / slope
-    per_shot_std = float(np.std(estimates, ddof=1)) if shots > 1 else 0.0
+    uniform = random.Random(seed).random
+    draw_count_1 = _poisson_sampler(model.alpha1, uniform)
+    draw_count_0 = _poisson_sampler(model.alpha0, uniform)
+    # numpy's draw order: every shot's spin state, then every shot's count
+    in_state_1 = [uniform() < run.p1 for _ in range(shots)]
+    counts = [draw_count_1() if state else draw_count_0() for state in in_state_1]
+    # phi_hat is linear in the count, so its mean and spread are the counts'
+    # mapped through it
+    gap = model.alpha0 - model.alpha1
+    mean_count = math.fsum(counts) / shots
+    count_std = (
+        math.sqrt(math.fsum((c - mean_count) ** 2 for c in counts) / (shots - 1))
+        if shots > 1 else 0.0
+    )
+    per_shot_std = count_std / (gap * abs(slope))
     return PhaseEstimate(
-        mean=float(np.mean(estimates)),
+        mean=phi_bias + ((model.alpha0 - mean_count) / gap - run.p1) / slope,
         std_error=per_shot_std / math.sqrt(shots),
         per_shot_std=per_shot_std,
         shots=shots,
         true_phase=phi_bias,
     )
+
+
+def _poisson_sampler(lam: float, uniform):
+    """A function that draws one Poisson(``lam``) count from the [0, 1)
+    uniforms that ``uniform()`` returns, by numpy's two methods.
+
+    Means below 10 use the multiplication method: the count is the number of
+    uniforms whose running product stays above exp(-lam).  It costs lam + 1
+    draws a count on average and breaks once exp(-lam) underflows, so larger
+    means use Hörmann's transformed rejection with squeeze, PTRS (Insurance:
+    Mathematics and Economics 12, 39 (1993)), at a cost that does not grow
+    with the mean.
+    A mean above ``POISSON_LAM_MAX`` is refused.
+    """
+    if not 0.0 <= lam <= POISSON_LAM_MAX:
+        raise NumericPreconditionError(
+            f"photon count mean {lam!r} is outside the Poisson sampler's range "
+            f"[0, {POISSON_LAM_MAX!r}]"
+        )
+    if lam < 10.0:
+        threshold = math.exp(-lam)
+
+        def multiplication() -> int:
+            count, product = 0, uniform()
+            while product > threshold:
+                count += 1
+                product *= uniform()
+            return count
+
+        return multiplication
+
+    log_lam = math.log(lam)
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+
+    def ptrs() -> int:
+        while True:
+            u = uniform() - 0.5
+            v = uniform()
+            us = 0.5 - abs(u)
+            if us == 0.0:  # u = -0.5 gives k = -inf, which is rejected
+                continue
+            k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
+            if us >= 0.07 and v <= v_r:
+                return k
+            if k < 0 or (us < 0.013 and v > us):
+                continue
+            # log(0) = -inf accepts
+            if v == 0.0 or (
+                math.log(v) + log_inv_alpha - math.log(a / (us * us) + b)
+                <= -lam + k * log_lam - math.lgamma(k + 1)
+            ):
+                return k
+
+    return ptrs

@@ -23,6 +23,15 @@ PHI10_CFG = "configs/phi10.cfg"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+@pytest.fixture(autouse=True)
+def unbind_lazy_names():
+    """Start each test with no lazy name bound on the shared ``cli`` module, so
+    that a handler using a name its ``SUBCOMMANDS`` entry does not bind fails
+    here instead of finding it bound by an earlier test."""
+    for name in cli._LAZY:
+        vars(cli).pop(name, None)
+
+
 def read_csv(path):
     text = path.read_text()
     lines = text.splitlines()

@@ -1,5 +1,5 @@
-"""The closed-form subcommands start without numpy, and the other
-subcommands' names in ``ac_diamond.cli`` are imported lazily yet stay
+"""Only the subcommands whose ``cli.SUBCOMMANDS`` entry lists numpy load it,
+and the subcommands' names in ``ac_diamond.cli`` are imported lazily yet stay
 patchable."""
 
 import importlib.util
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ac_diamond import holonomy, measurement, sequence
+from ac_diamond import cli, holonomy, measurement, sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CFG = str(ROOT / "configs" / "default.cfg")
@@ -43,46 +43,67 @@ def _fresh_interpreter(code, *args) -> list[str]:
     return done.stdout.splitlines()[-1].split()
 
 
-@pytest.mark.parametrize(
-    "argv, config_text, code, engine",
-    [
-        (["phase"], None, "0", "-"),
-        (["sensitivity"], None, "0", "-"),
-        (["stark"], None, "0", "-"),
-        (["phase"], "r = 1e200\nE0 = 1e200\n", "3", "-"),
-        (["sweep"], "n = 7\n", "0", ENGINE),
-        (["sweep", "--grid", "2000"], "n = 7\n", "0", ENGINE),
-        (["echo-check"], "n = 7\n", "0", ENGINE),
-        # refused: E0 too small to resolve the grid, 2r*E0 overflows
-        (["sweep"], "E0 = 5e-324\nn = 7\n", "3", ENGINE),
-        (["echo-check"], "r = 1e300\nE0 = 1e10\nn = 1\n", "3", ENGINE),
-    ],
-    ids=["phase", "sensitivity", "stark", "phase-overflow", "sweep", "sweep-2000",
-         "echo-check", "sweep-unresolvable-grid", "echo-check-overflow"],
-)
-def test_closed_form_subcommands_never_load_numpy(argv, config_text, code, engine,
-                                                  tmp_path):
-    # the scalar subcommands do not load the closed-form engine either
+# the subcommands that may load numpy, read from the table's module column
+NUMPY_SUBCOMMANDS = {
+    name for name, (_, _, modules, _) in cli.SUBCOMMANDS.items() if "numpy" in modules
+}
+PHI10_TEXT = Path(PHI10_CFG).read_text()
+# id -> (argv, config text or None for default.cfg, exit code, engine modules)
+PROBES = {
+    "phase": (["phase"], None, "0", "-"),
+    "sensitivity": (["sensitivity"], None, "0", "-"),
+    "stark": (["stark"], None, "0", "-"),
+    "phase-overflow": (["phase"], "r = 1e200\nE0 = 1e200\n", "3", "-"),
+    "sweep": (["sweep"], "n = 7\n", "0", ENGINE),
+    "sweep-2000": (["sweep", "--grid", "2000"], "n = 7\n", "0", ENGINE),
+    "echo-check": (["echo-check"], "n = 7\n", "0", ENGINE),
+    # refused: E0 too small to resolve the grid, 2r*E0 overflows
+    "sweep-unresolvable-grid": (["sweep"], "E0 = 5e-324\nn = 7\n", "3", ENGINE),
+    "echo-check-overflow": (["echo-check"], "r = 1e300\nE0 = 1e10\nn = 1\n", "3", ENGINE),
+    # no holonomy; a mean count beyond the Poisson sampler's range is refused
+    "montecarlo": (["montecarlo"], PHI10_TEXT, "0", ENGINE),
+    "montecarlo-huge-counts": (["montecarlo"], "alpha0 = 1e30\nn = 2\n", "3", ENGINE),
+    # no sequence
+    "holonomy": (["holonomy"], PHI10_TEXT, "0", "geometry,phase,holonomy"),
+}
+
+
+def _probes(numpy: bool):
+    """The probes of the subcommands that do, or do not, list numpy."""
+    chosen = {key: probe for key, probe in PROBES.items()
+              if (probe[0][0] in NUMPY_SUBCOMMANDS) == numpy}
+    return pytest.mark.parametrize("argv, config_text, code, engine",
+                                   list(chosen.values()), ids=list(chosen))
+
+
+def _probe(argv, config_text, tmp_path) -> list[str]:
+    # each subcommand loads only the engine modules its handler runs on
     cfg = DEFAULT_CFG
     if config_text is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config_text)
-    argv = [*argv, "--config", str(cfg)]
-    out = str(tmp_path / "out.csv")
-    assert _fresh_interpreter(RUN_CLI, *argv, "--out", out) == [code, "False", engine]
+    return _fresh_interpreter(RUN_CLI, *argv, "--config", str(cfg),
+                              "--out", str(tmp_path / "out.csv"))
 
 
-@pytest.mark.parametrize(
-    "command, engine",
-    [("montecarlo", ENGINE), ("holonomy", "geometry,phase,holonomy")],
-    ids=["montecarlo", "holonomy"],
-)
-def test_numpy_subcommand_is_seen_loading_numpy(command, engine, tmp_path):
-    # the probe above can tell: montecarlo and holonomy do load numpy, and
-    # each loads only the modules its handler runs on (montecarlo no
-    # holonomy, holonomy no sequence)
-    argv = [command, "--config", PHI10_CFG, "--out", str(tmp_path / "out.csv")]
-    assert _fresh_interpreter(RUN_CLI, *argv) == ["0", "True", engine]
+@_probes(numpy=False)
+def test_closed_form_subcommands_never_load_numpy(argv, config_text, code, engine,
+                                                  tmp_path):
+    # the scalar subcommands do not load the closed-form engine either
+    assert _probe(argv, config_text, tmp_path) == [code, "False", engine]
+
+
+@_probes(numpy=True)
+def test_numpy_subcommand_is_seen_loading_numpy(argv, config_text, code, engine,
+                                                tmp_path):
+    # the probe above can tell
+    assert _probe(argv, config_text, tmp_path) == [code, "True", engine]
+
+
+def test_every_subcommand_is_probed():
+    assert {argv[0] for argv, *_ in PROBES.values()} == set(cli.SUBCOMMANDS)
+    # and each of the two probe tests has a case
+    assert NUMPY_SUBCOMMANDS == {"holonomy"}
 
 
 def test_bare_package_import_loads_no_numpy():
@@ -126,7 +147,7 @@ def test_numpy_subcommands_call_through_the_module_attributes(tmp_path):
     assert vars(cli)["simulate_run"] is sequence.simulate_run  # bound by main
 
 
-@pytest.mark.parametrize("command", ["sweep", "echo-check"])
+@pytest.mark.parametrize("command", ["sweep", "echo-check", "montecarlo"])
 def test_closed_form_subcommands_bind_no_numpy_names(command, tmp_path):
     cli = _fresh_cli()
     calls = []

@@ -1,13 +1,19 @@
 """Tests for contrast, sensitivity figures, and the Monte Carlo experiment."""
 
 import math
+import random
 
-import numpy as np
 import pytest
+from scipy import stats
 
 from ac_diamond.errors import NumericPreconditionError
 from ac_diamond.geometry import FieldConfig, station_trajectory
-from ac_diamond.measurement import PhaseEstimate, monte_carlo_experiment
+from ac_diamond.measurement import (
+    POISSON_LAM_MAX,
+    PhaseEstimate,
+    _poisson_sampler,
+    monte_carlo_experiment,
+)
 from ac_diamond.physics import (
     NVParameters,
     ReadoutModel,
@@ -190,3 +196,55 @@ class TestMonteCarlo:
             est.per_shot_std / math.sqrt(500.0), rel=1e-12
         )
         assert est.true_phase == pytest.approx(10.0, rel=1e-9)
+
+
+def _poisson_counts(lam, size, seed):
+    draw = _poisson_sampler(lam, random.Random(seed).random)
+    return [draw() for _ in range(size)]
+
+
+class TestPoissonSampler:
+    @pytest.mark.parametrize("lam", [0.0, 0.03, 0.5, 9.99, 10.0, 37.5, 1e4, 1e12])
+    def test_mean_and_variance_within_5_sigma(self, lam):
+        # both sides of the method switch at 10, and far into PTRS
+        size = 20000
+        counts = _poisson_counts(lam, size, 17)
+        mean = math.fsum(counts) / size
+        var = math.fsum((c - mean) ** 2 for c in counts) / (size - 1)
+        # Poisson moments: variance lam, fourth central moment lam*(1 + 3*lam)
+        var_of_var = (lam * (1.0 + 3.0 * lam) - (size - 3) / (size - 1) * lam**2) / size
+        assert abs(mean - lam) <= 5.0 * math.sqrt(lam / size)
+        assert abs(var - lam) <= 5.0 * math.sqrt(var_of_var)
+
+    @pytest.mark.parametrize("lam", [0.05, 3.0, 37.5])
+    def test_count_frequencies_pass_chi_square(self, lam):
+        size = 20000
+        counts = _poisson_counts(lam, size, 23)
+        assert min(counts) >= 0 and all(isinstance(c, int) for c in counts)
+        # bins of at least 5 expected counts: an open lower tail up to lo, one
+        # bin per count, and an open upper tail from hi
+        dist = stats.poisson(lam)
+        lo, hi = int(dist.ppf(0.001)), int(dist.ppf(0.999))
+        observed = [sum(c <= lo for c in counts)]
+        observed += [counts.count(k) for k in range(lo + 1, hi)]
+        observed.append(sum(c >= hi for c in counts))
+        expected = [dist.cdf(lo)]
+        expected += [dist.pmf(k) for k in range(lo + 1, hi)]
+        expected.append(dist.sf(hi - 1))
+        expected = [size * q for q in expected]
+        assert min(expected) >= 5.0
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    def test_mean_range_is_numpys(self):
+        for lam in (math.nextafter(POISSON_LAM_MAX, math.inf), math.inf, -0.5):
+            with pytest.raises(NumericPreconditionError, match="Poisson"):
+                _poisson_sampler(lam, random.Random(0).random)
+        counts = _poisson_counts(POISSON_LAM_MAX, 100, 5)
+        assert all(abs(c - POISSON_LAM_MAX) <= 6.0 * math.sqrt(POISSON_LAM_MAX)
+                   for c in counts)
+        assert POISSON_LAM_MAX == pytest.approx(9.223372006484771e18, rel=1e-15)
+
+    def test_huge_mean_count_refused_by_the_experiment(self):
+        huge = ReadoutModel(alpha0=1e30, alpha1=0.0299)
+        with pytest.raises(NumericPreconditionError, match="photon count mean"):
+            monte_carlo_experiment(E0_PHI10, SCHEDULE, TRAJ, PARAMS, huge, 100, 1)
