@@ -18,9 +18,10 @@ product against the reverse-ordered one (:func:`path_ordered_propagator` with
 ``reverse=True``); a literal time-reversed traversal would just invert the
 propagator exactly and show nothing.
 
-The propagator and the state oracle share one stepper,
-:func:`_stream_product`.  It walks the midpoint grid in blocks of
-``_CHUNK_STEPS`` steps, so memory does not grow with the step count, and it
+One stepper, :func:`_stream_product`, builds every propagator, and the state
+oracle (:func:`ac_diamond.sequence.simulate_run` in oracle mode) steps its
+state with those propagators.  The stepper walks the midpoint grid in blocks
+of ``_CHUNK_STEPS`` steps, so memory does not grow with the step count, and it
 chooses its path once, from the disk tilt.  The field lies along x, so the
 coupling axis k*(E x v) is k*E*(0, -v_z, v_y).  For an untilted disk (or a
 zero field) it lies exactly along z, G = a_z*Sz, and the stepper sums the
@@ -299,6 +300,8 @@ def path_ordered_propagator(
     params: NVParameters,
     *,
     reverse: bool = False,
+    detuning_hz: float = 0.0,
+    quadratic_mass: float | None = None,
 ) -> Propagator:
     """Path-ordered propagator over the sampled trajectory segment.
 
@@ -306,9 +309,15 @@ def path_ordered_propagator(
     order (the anti-ordered product).  For commuting planar generators this
     changes nothing (the two results are bitwise equal); when tilted, forward
     minus reverse is twice the second-order Dyson term to leading order.
+    In the rotating frame, ``detuning_hz`` adds a residual precession of |1>
+    against |0>, and ``quadratic_mass`` the quadratic-in-E level shifts.
     """
-    U = _stream_product(sampling, params, np.zeros(3), reverse)
-    return Propagator(U=U)
+    const_diag = np.array([0.0, 0.0, TWO_PI * detuning_hz])
+    if quadratic_mass is not None:
+        const_diag = const_diag + _quadratic_diagonal_shift(
+            sampling.field.magnitude, params, quadratic_mass
+        )
+    return Propagator(U=_stream_product(sampling, params, const_diag, reverse))
 
 
 def dyson_second_order(
@@ -331,42 +340,3 @@ def dyson_second_order(
     prior = np.cumsum(axes, axis=0) - axes  # sum of all strictly earlier axes
     turn = np.cross(axes, prior).sum(axis=0)
     return 0.5j * dt * dt * np.tensordot(turn, spin_operators(), axes=1)
-
-
-def effective_hamiltonian_evolve(
-    sampling: PathSampling,
-    params: NVParameters,
-    initial: SpinState,
-    detuning_hz: float = 0.0,
-    quadratic_mass: float | None = None,
-) -> SpinState:
-    """Integrate i d|psi>/dt = G(t) |psi> with midpoint steps.
-
-    Serves as the independent oracle for the echo-sequence engine.  It works in
-    the rotating frame of the static Hamiltonian, where only the motional
-    coupling acts; ``detuning_hz`` adds an explicit residual precession of |1>
-    against |0>.
-    The state is advanced by the polar factor of the interval propagator, so
-    its norm is preserved to rounding however many intervals it is carried
-    through.
-    """
-    const_diag = np.array([0.0, 0.0, TWO_PI * detuning_hz])
-    if quadratic_mass is not None:
-        const_diag = const_diag + _quadratic_diagonal_shift(
-            sampling.field.magnitude, params, quadratic_mass
-        )
-    U = _stream_product(sampling, params, const_diag, False)
-    return SpinState(_nearest_unitary(U) @ initial.amplitudes)
-
-
-def _nearest_unitary(u: np.ndarray) -> np.ndarray:
-    """Polar (nearest-unitary) factor of a propagator checked against the 1e-10
-    unitarity bound of :class:`Propagator`.
-
-    Each eigendecomposed step exponential is unitary only to ~1e-15, and that
-    defect adds up along the product (about 2.5e-13 over 1e4 tilted steps), so
-    a state carried through many intervals would drift off unit norm.
-    """
-    Propagator(U=u)
-    w, _, vh = np.linalg.svd(u)
-    return w @ vh

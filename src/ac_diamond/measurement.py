@@ -27,6 +27,9 @@ from .sequence import EchoSchedule, simulate_run
 # The largest Poisson mean numpy's generator accepts, so that every count fits
 # an int64: the int64 maximum less ten of its square roots (about 9.22e18).
 POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+# From this mean on, PTRS takes log(lam**k*exp(-lam)/k!) in a form free of
+# cancellation; below it, in numpy's form.
+STIRLING_LAM = 1e7
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,11 @@ def _poisson_sampler(lam: float, uniform):
     draws a count on average and breaks once exp(-lam) underflows, so larger
     means use Hörmann's transformed rejection with squeeze, PTRS (Insurance:
     Mathematics and Economics 12, 39 (1993)), at a cost that does not grow
-    with the mean.
+    with the mean.  Its acceptance test compares against the log-probability
+    -lam + k*log(lam) - lgamma(k + 1), whose terms cancel to nothing at large
+    means (k*log(lam) is 3.5e16 at lam = 1e15, where a double's spacing is
+    4).  From ``STIRLING_LAM`` on it uses Stirling's series in d = k - lam,
+    d - k*log1p(d/lam) - log(2*pi*k)/2 - 1/(12k), instead.
     A mean above ``POISSON_LAM_MAX`` is refused.
     """
     if not 0.0 <= lam <= POISSON_LAM_MAX:
@@ -130,6 +137,13 @@ def _poisson_sampler(lam: float, uniform):
         return multiplication
 
     log_lam = math.log(lam)
+
+    def log_probability(k: int) -> float:
+        if lam < STIRLING_LAM or k == 0:  # Stirling's series needs k >= 1
+            return -lam + k * log_lam - math.lgamma(k + 1)
+        d = k - lam
+        return d - k * math.log1p(d / lam) - 0.5 * math.log(math.tau * k) - 1.0 / (12.0 * k)
+
     b = 0.931 + 2.53 * math.sqrt(lam)
     a = -0.059 + 0.02483 * b
     log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
@@ -150,7 +164,7 @@ def _poisson_sampler(lam: float, uniform):
             # log(0) = -inf accepts
             if v == 0.0 or (
                 math.log(v) + log_inv_alpha - math.log(a / (us * us) + b)
-                <= -lam + k * log_lam - math.lgamma(k + 1)
+                <= log_probability(k)
             ):
                 return k
 

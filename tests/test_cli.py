@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ac_diamond import cli
@@ -23,13 +23,17 @@ PHI10_CFG = "configs/phi10.cfg"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.fixture(autouse=True)
 def unbind_lazy_names():
-    """Start each test with no lazy name bound on the shared ``cli`` module, so
-    that a handler using a name its ``SUBCOMMANDS`` entry does not bind fails
-    here instead of finding it bound by an earlier test."""
+    """Remove every lazy name bound on the shared ``cli`` module, so that a
+    handler using a name its ``SUBCOMMANDS`` entry does not bind fails instead
+    of finding it bound by an earlier run."""
     for name in cli._LAZY:
         vars(cli).pop(name, None)
+
+
+@pytest.fixture(autouse=True)
+def each_test_starts_unbound():
+    unbind_lazy_names()
 
 
 def read_csv(path):
@@ -260,49 +264,52 @@ def test_bad_flags_and_seeds_exit_2(argv, config_text, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, config_text, codes",
-    [
-        (["holonomy", "--steps", "16"], "r = 1e300\nn = 1\n", (0, 3)),
-        (["stark"], "g = 1e-300\n", (0, 3)),
-        (["sensitivity"], "alpha0 = 1e300\nalpha1 = 0\n", (0, 3)),
-        (["sensitivity"], "alpha0 = 5e-324\nalpha1 = 0\n", (0, 3)),
-        (["sensitivity"], "alpha0 = 1.7e308\nalpha1 = 1.6e308\n", (0, 3)),
-        (["sensitivity"], "alpha0 = 1e-160\nalpha1 = 0\nT2 = 1e-300\n", (0, 3)),
-        # closed-form phases ~2e302 rad, far beyond what cos resolves
-        (["sweep"], "r = 1e300\nn = 1\n", (3,)),
-        (["echo-check"], "r = 1e300\nn = 1\n", (3,)),
-        (["montecarlo"], "r = 1e300\nn = 1\n", (3,)),
-        # linspace(0, 5e-324, 201) repeats field values
-        (["sweep"], "E0 = 5e-324\nn = 7\n", (3,)),
-        # floating-point overflow or invalid operations: exit 3, no warning
-        (["holonomy", "--steps", "16"], "f = 5e-324\nn = 1\n", (3,)),  # period inf
-        (["sweep"], "r = 1.7976931348623157e308\nn = 1\n", (3,)),  # diameter inf
-        (["montecarlo"], "r = 1e303\nn = 2\n", (3,)),  # r*E overflows
-        (["sweep"], "E0 = 1e-213\nn = 7\n", (3,)),  # spacing^2 underflows
-        (["sweep"], "r = 1e-300\nE0 = 1e308\nn = 1\n", (3,)),  # spacing^2 overflows
-        # no interior point, but np.gradient forms 2*spacing, which overflows
-        (["sweep", "--grid", "2"], "r = 1e-300\nE0 = 1e308\nn = 1\n", (3,)),
-        # the last point of linspace, (grid - 1)*(E0/(grid - 1)), overflows
-        (["sweep", "--grid", "4"], "r = 1e-300\nE0 = 1.7976931348623157e308\nn = 1\n", (3,)),
-        (["echo-check"], "r = 1e300\nE0 = 1e10\nn = 1\n", (3,)),  # 2r*E0 overflows
-        # a mean count beyond the Poisson sampler's int64 range
-        (["montecarlo"], "alpha0 = 1e30\nn = 2\n", (3,)),
-        # Python-float products that overflow to inf without a numpy error
-        (["phase"], "r = 1e200\nE0 = 1e200\n", (3,)),
-        (["stark"], "E0 = 1e200\n", (3,)),
-    ],
-    ids=["holonomy-huge-radius", "stark-tiny-g", "sensitivity-huge-counts",
-         "sensitivity-tiny-counts", "sensitivity-overflowing-sum",
-         "sensitivity-overflowing-time", "sweep-huge-radius",
-         "echo-check-huge-radius", "montecarlo-huge-radius",
-         "sweep-unresolvable-grid", "holonomy-tiny-frequency", "sweep-max-radius",
-         "montecarlo-overflowing-phase", "sweep-underflowing-spacing",
-         "sweep-overflowing-spacing", "sweep-overflowing-two-point-spacing",
-         "sweep-overflowing-grid", "echo-check-overflowing-segment",
-         "montecarlo-huge-counts",
-         "phase-overflowing-phase", "stark-overflowing-shift"],
-)
+# name -> (argv, config text, allowed exit codes); tests/test_golden.py pins
+# each one's exit code and output
+EXTREME_VALUES = {
+    "holonomy-huge-radius": (["holonomy", "--steps", "16"], "r = 1e300\nn = 1\n", (0, 3)),
+    "stark-tiny-g": (["stark"], "g = 1e-300\n", (0, 3)),
+    "sensitivity-huge-counts": (["sensitivity"], "alpha0 = 1e300\nalpha1 = 0\n", (0, 3)),
+    "sensitivity-tiny-counts": (["sensitivity"], "alpha0 = 5e-324\nalpha1 = 0\n", (0, 3)),
+    "sensitivity-overflowing-sum": (["sensitivity"], "alpha0 = 1.7e308\nalpha1 = 1.6e308\n",
+                                    (0, 3)),
+    "sensitivity-overflowing-time": (["sensitivity"],
+                                     "alpha0 = 1e-160\nalpha1 = 0\nT2 = 1e-300\n", (0, 3)),
+    # closed-form phases ~2e302 rad, far beyond what cos resolves
+    "sweep-huge-radius": (["sweep"], "r = 1e300\nn = 1\n", (3,)),
+    "echo-check-huge-radius": (["echo-check"], "r = 1e300\nn = 1\n", (3,)),
+    "montecarlo-huge-radius": (["montecarlo"], "r = 1e300\nn = 1\n", (3,)),
+    # linspace(0, 5e-324, 201) repeats field values
+    "sweep-unresolvable-grid": (["sweep"], "E0 = 5e-324\nn = 7\n", (3,)),
+    # floating-point overflow or invalid operations: exit 3, no warning
+    "holonomy-tiny-frequency": (["holonomy", "--steps", "16"], "f = 5e-324\nn = 1\n",
+                                (3,)),  # period inf
+    "sweep-max-radius": (["sweep"], "r = 1.7976931348623157e308\nn = 1\n",
+                         (3,)),  # diameter inf
+    "montecarlo-overflowing-phase": (["montecarlo"], "r = 1e303\nn = 2\n",
+                                     (3,)),  # r*E overflows
+    "sweep-underflowing-spacing": (["sweep"], "E0 = 1e-213\nn = 7\n",
+                                   (3,)),  # spacing^2 underflows
+    "sweep-overflowing-spacing": (["sweep"], "r = 1e-300\nE0 = 1e308\nn = 1\n",
+                                  (3,)),  # spacing^2 overflows
+    # no interior point, but np.gradient forms 2*spacing, which overflows
+    "sweep-overflowing-two-point-spacing": (["sweep", "--grid", "2"],
+                                            "r = 1e-300\nE0 = 1e308\nn = 1\n", (3,)),
+    # the last point of linspace, (grid - 1)*(E0/(grid - 1)), overflows
+    "sweep-overflowing-grid": (["sweep", "--grid", "4"],
+                               "r = 1e-300\nE0 = 1.7976931348623157e308\nn = 1\n", (3,)),
+    "echo-check-overflowing-segment": (["echo-check"], "r = 1e300\nE0 = 1e10\nn = 1\n",
+                                       (3,)),  # 2r*E0 overflows
+    # a mean count beyond the Poisson sampler's int64 range
+    "montecarlo-huge-counts": (["montecarlo"], "alpha0 = 1e30\nn = 2\n", (3,)),
+    # Python-float products that overflow to inf without a numpy error
+    "phase-overflowing-phase": (["phase"], "r = 1e200\nE0 = 1e200\n", (3,)),
+    "stark-overflowing-shift": (["stark"], "E0 = 1e200\n", (3,)),
+}
+
+
+@pytest.mark.parametrize("argv, config_text, codes", list(EXTREME_VALUES.values()),
+                         ids=list(EXTREME_VALUES))
 def test_extreme_values_exit_0_or_3(argv, config_text, codes, tmp_path, capsys):
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(config_text)
@@ -416,9 +423,14 @@ _FLAG_VALUES = st.one_of(
     grid=_FLAG_VALUES,
     seed=st.one_of(st.none(), st.integers(min_value=-2, max_value=2**64).map(str)),
 )
+# a numpy run, then a closed-form run that must not find numpy's names bound
+@example(command="holonomy", lines=[], n="n = 1\n", steps="1024", grid="16", seed=None)
+@example(command="montecarlo", lines=[], n="n = 1\n", steps="16", grid="16", seed=None)
 def test_fuzzed_config_and_flags_exit_0_2_or_3(command, lines, n, steps, grid, seed):
     # n <= 7, --steps <= 1024 and --grid <= 1024 keep each run to milliseconds;
-    # every run is in-process
+    # every run is in-process, and one test call runs every example, so each
+    # example unbinds the lazy names an earlier one bound
+    unbind_lazy_names()
     text = n + "".join(line + "\n" for line in lines)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"

@@ -1,7 +1,10 @@
 """Golden outputs of the CLI: the exit code, stdout, stderr and CSV of the
-README recipes, a tilted ``holonomy`` run, every ``--help`` text and the
-argparse refusals, run in-process through ``ac_diamond.cli.main`` and
-compared with the files under ``tests/golden/``.
+README recipes, a tilted ``holonomy`` run, every ``--help`` text, the
+argparse refusals and the extreme-value configs of
+``tests/test_cli.py::EXTREME_VALUES``, run in-process through
+``ac_diamond.cli.main`` and compared with the files under ``tests/golden/``.
+An extreme-value case writes its config text, which its golden file records,
+to a fresh config path.
 
 The subcommands that compute in Python floats and ``math`` (``montecarlo``
 draws from ``random.Random``), the help texts and the refusals must match
@@ -32,12 +35,14 @@ import numpy as np
 import pytest
 
 from ac_diamond import cli
+from test_cli import EXTREME_VALUES
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 HEADER = "# ac-diamond golden v1; regenerate: PYTHONPATH=src python tests/test_golden.py"
 COLUMNS = "80"  # the terminal width argparse wraps the help texts to
 CSV = "{csv}"  # stands for a fresh CSV path in an argv
+CFG = "{cfg}"  # stands for a fresh config path holding CONFIGS[name]
 ABS_TOL, REL_TOL = 1e-12, 1e-9
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -66,14 +71,18 @@ CASES = {
     "refused-sweep-steps": ["sweep", "--steps", "5"],
     "refused-holonomy-grid": ["holonomy", "--grid", "5"],
     "refused-montecarlo-steps": ["montecarlo", "--steps", "5"],
+    **{f"extreme-{name}": [*argv, "--config", CFG, "--out", CSV]
+       for name, (argv, _, _) in EXTREME_VALUES.items()},
 }
+CONFIGS = {f"extreme-{name}": text for name, (_, text, _) in EXTREME_VALUES.items()}
 # the cases that run a numpy subcommand past argument parsing
-NUMERIC = {"holonomy", "holonomy-tilted"}
+NUMERIC = {"holonomy", "holonomy-tilted",
+           *(name for name in CONFIGS if CASES[name][0] == "holonomy")}
 
 
-def run_case(argv, workdir: Path):
-    """Exit code and output streams of ``main(argv)``, run from the repository
-    root with the help width fixed.
+def run_case(name, workdir: Path):
+    """Exit code and output streams of ``main`` on the case's argv, run from
+    the repository root with the help width fixed.
 
     Each case runs on a fresh ``ac_diamond.cli`` module, so that a subcommand
     finds only the lazy names its own ``SUBCOMMANDS`` entry binds.
@@ -81,8 +90,10 @@ def run_case(argv, workdir: Path):
     spec = importlib.util.find_spec("ac_diamond.cli")
     fresh = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fresh)
-    csv = workdir / "out.csv"
-    argv = [str(csv) if arg == CSV else arg for arg in argv]
+    csv, cfg = workdir / "out.csv", workdir / "run.cfg"
+    if name in CONFIGS:
+        cfg.write_text(CONFIGS[name])
+    argv = [{CSV: str(csv), CFG: str(cfg)}.get(arg, arg) for arg in CASES[name]]
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
@@ -97,6 +108,8 @@ def run_case(argv, workdir: Path):
 
 def render(name, code, streams) -> str:
     lines = [HEADER, f"argv: {' '.join(CASES[name])}", f"exit: {code}"]
+    if name in CONFIGS:
+        lines.append(f"config: {CONFIGS[name]!r}")
     if name in NUMERIC:
         lines.append(f"numpy: {np.__version__}; numbers compared to "
                      f"{ABS_TOL:g} + {REL_TOL:g}*|value|")
@@ -127,7 +140,7 @@ def at_root(monkeypatch):
 
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden(name, at_root, tmp_path):
-    code, streams = run_case(CASES[name], tmp_path)
+    code, streams = run_case(name, tmp_path)
     want_code, want_streams = read_golden(name)
     assert code == want_code
     assert streams.keys() == want_streams.keys()
@@ -157,8 +170,8 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
     for old in GOLDEN.glob("*.txt"):
         old.unlink()
-    for name, argv in CASES.items():
+    for name in CASES:
         with tempfile.TemporaryDirectory() as workdir:
-            code, streams = run_case(argv, Path(workdir))
+            code, streams = run_case(name, Path(workdir))
         (GOLDEN / f"{name}.txt").write_text(render(name, code, streams))
     print(f"wrote {len(CASES)} golden files to {GOLDEN.relative_to(ROOT)}", file=sys.stderr)

@@ -1,4 +1,5 @@
-"""Tests for the path-ordered propagator, Dyson diagnostics, and the ODE oracle."""
+"""Tests for the path-ordered propagator, Dyson diagnostics, and the state step
+of the echo oracle."""
 
 import tracemalloc
 
@@ -13,13 +14,11 @@ from ac_diamond.holonomy import (
     PathSampling,
     Propagator,
     _coupling_axes,
-    _nearest_unitary,
     _ordered_product,
     _quadratic_diagonal_shift,
     _spin_generators,
     _step_unitaries,
     dyson_second_order,
-    effective_hamiltonian_evolve,
     path_ordered_propagator,
     unitarity_defect,
 )
@@ -55,6 +54,15 @@ def scaled_field(traj, budget=0.1, steps=20001):
 def generators(samp):
     """Midpoint generators G = axes . S of every step, as a (steps, 3, 3) stack."""
     return _spin_generators(_coupling_axes(samp, PARAMS))
+
+
+def effective_hamiltonian_evolve(samp, initial, **constant_diagonal):
+    """Integrate i d|psi>/dt = G(t) |psi> over the sampled segment as the echo
+    oracle steps its state: by the polar factor of the path-ordered propagator
+    (``constant_diagonal`` takes its ``detuning_hz`` and ``quadratic_mass``)."""
+    u = path_ordered_propagator(samp, PARAMS, **constant_diagonal).U
+    w, _, vh = np.linalg.svd(u)
+    return SpinState(w @ vh @ initial.amplitudes)
 
 
 class TestCouplingGenerator:
@@ -189,12 +197,9 @@ class TestPathOrderedPropagator:
         [
             lambda samp: path_ordered_propagator(samp, PARAMS, dimension=3),
             lambda samp: dyson_second_order(samp, PARAMS, dimension=3),
-            lambda samp: effective_hamiltonian_evolve(samp, PARAMS, SpinState.ground(),
-                                                      dimension=3),
             lambda samp: Propagator(np.eye(3), dimension=3),
         ],
-        ids=["path_ordered_propagator", "dyson_second_order",
-             "effective_hamiltonian_evolve", "Propagator"],
+        ids=["path_ordered_propagator", "dyson_second_order", "Propagator"],
     )
     def test_spin_dimension_keyword_refused(self, call):
         with pytest.raises(TypeError, match="dimension"):
@@ -241,11 +246,9 @@ class TestStreamingStepper:
         samp = sampling(3 * _CHUNK_STEPS + 5)
         prop = path_ordered_propagator(samp, PARAMS)
         assert prop.offdiagonal_norm() == 0.0
-        out = effective_hamiltonian_evolve(samp, PARAMS, SpinState.ground())
-        assert out.population(0) == pytest.approx(1.0, abs=1e-12)
-        out = effective_hamiltonian_evolve(
-            samp, PARAMS, SpinState.ground(), detuning_hz=1e5, quadratic_mass=2e-26
-        )
+        prop = path_ordered_propagator(samp, PARAMS, detuning_hz=1e5, quadratic_mass=2e-26)
+        assert prop.offdiagonal_norm() == 0.0
+        out = effective_hamiltonian_evolve(samp, SpinState.ground(), detuning_hz=1e5)
         assert out.population(0) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -271,11 +274,20 @@ class TestStreamingStepper:
         prop = path_ordered_propagator(samp, PARAMS)
         assert np.array_equal(prop.U, reference(np.zeros(3)))
 
-        initial = SpinState(np.array([0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
-        out = effective_hamiltonian_evolve(samp, PARAMS, initial, detuning_hz=1e5)
-        const_diag = np.array([0.0, 0.0, 2.0 * np.pi * 1e5])
-        expected = _nearest_unitary(reference(const_diag)) @ initial.amplitudes
-        assert np.array_equal(out.amplitudes, expected)
+        detuned = path_ordered_propagator(samp, PARAMS, detuning_hz=1e5)
+        assert np.array_equal(detuned.U, reference(np.array([0.0, 0.0, 2.0 * np.pi * 1e5])))
+
+    def test_constant_diagonal_joins_every_tilted_step(self):
+        # the detuning and the quadratic level shifts are added to each
+        # midpoint generator before it is exponentiated
+        field = scaled_field(TILTED)
+        samp = sampling(_CHUNK_STEPS + 3, t1=0.6 / FREQ, traj=TILTED, field=field)
+        const_diag = (np.array([0.0, 0.0, 2.0 * np.pi * 1e3])
+                      + _quadratic_diagonal_shift(field.magnitude, PARAMS, 2e-26))
+        stack = _step_unitaries(generators(samp) + np.diag(const_diag), samp.dt)
+        prop = path_ordered_propagator(samp, PARAMS, detuning_hz=1e3, quadratic_mass=2e-26)
+        assert np.max(np.abs(prop.U - _ordered_product(stack))) < 1e-13
+        assert np.max(np.abs(prop.U - path_ordered_propagator(samp, PARAMS).U)) > 1e-3
 
     def test_any_tilt_takes_the_general_path_from_the_first_block(self, monkeypatch):
         eigh_calls = []
@@ -386,7 +398,7 @@ class TestQuarterTurnTiltReference:
     def test_oracle_run_matches_reference(self):
         initial = SpinState(np.array([0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
         samp = sampling(10000, t1=self.PERIOD, traj=self.TILT_90)
-        out = effective_hamiltonian_evolve(samp, PARAMS, initial)
+        out = effective_hamiltonian_evolve(samp, initial)
         expected = rabi_reference(0.0, self.PERIOD) @ initial.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) <= self.tolerance(10000)
 
@@ -395,7 +407,7 @@ class TestQuarterTurnTiltReference:
         [
             lambda samp: path_ordered_propagator(samp, PARAMS),
             lambda samp: dyson_second_order(samp, PARAMS),
-            lambda samp: effective_hamiltonian_evolve(samp, PARAMS, SpinState.ground()),
+            lambda samp: effective_hamiltonian_evolve(samp, SpinState.ground()),
         ],
         ids=["path_ordered_propagator", "dyson_second_order",
              "effective_hamiltonian_evolve"],
@@ -480,13 +492,13 @@ class TestDysonSecondOrder:
 class TestEffectiveHamiltonianEvolve:
     def test_ground_state_is_stationary_without_field(self):
         samp = sampling(200, field=FieldConfig(magnitude=0.0))
-        out = effective_hamiltonian_evolve(samp, PARAMS, SpinState.ground())
+        out = effective_hamiltonian_evolve(samp, SpinState.ground())
         assert out.population(0) == pytest.approx(1.0, abs=1e-12)
 
     def test_superposition_acquires_minus_segment_phase(self):
         initial = SpinState(np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0))
         samp = sampling(40000)
-        out = effective_hamiltonian_evolve(samp, PARAMS, initial)
+        out = effective_hamiltonian_evolve(samp, initial)
         amps = out.amplitudes
         relative = np.angle(amps[2] * np.conj(amps[1]))
         assert relative == pytest.approx(
@@ -496,13 +508,13 @@ class TestEffectiveHamiltonianEvolve:
     def test_norm_preserved_over_ten_rotations(self):
         initial = SpinState(np.array([0.2, 0.5, 0.6]) / np.linalg.norm([0.2, 0.5, 0.6]))
         samp = sampling(200000, t1=10.0 / FREQ)
-        out = effective_hamiltonian_evolve(samp, PARAMS, initial)
+        out = effective_hamiltonian_evolve(samp, initial)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
     def test_tilted_path_uses_generic_stepper(self):
         tilted = station_trajectory(RADIUS, FREQ, tilt=0.2)
         samp = sampling(5000, traj=tilted)
-        out = effective_hamiltonian_evolve(samp, PARAMS, SpinState.ground())
+        out = effective_hamiltonian_evolve(samp, SpinState.ground())
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
         # tilt leaks amplitude out of |0> through the Sy coupling
         assert out.population(0) < 1.0
@@ -513,7 +525,7 @@ class TestEffectiveHamiltonianEvolve:
         # which a zero field takes at any tilt
         samp = sampling(100, traj=traj, field=FieldConfig(magnitude=0.0))
         initial = SpinState(np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0))
-        out = effective_hamiltonian_evolve(samp, PARAMS, initial, detuning_hz=1e5)
+        out = effective_hamiltonian_evolve(samp, initial, detuning_hz=1e5)
         relative = np.angle(out.amplitudes[2] * np.conj(out.amplitudes[1]))
         expected = -2.0 * np.pi * 1e5 * HALF
         assert np.exp(1j * relative) == pytest.approx(np.exp(1j * expected), abs=1e-9)

@@ -204,9 +204,10 @@ def _poisson_counts(lam, size, seed):
 
 
 class TestPoissonSampler:
-    @pytest.mark.parametrize("lam", [0.0, 0.03, 0.5, 9.99, 10.0, 37.5, 1e4, 1e12])
+    @pytest.mark.parametrize("lam", [0.0, 0.03, 0.5, 9.99, 10.0, 37.5, 1e4, 1e12, 1e15, 1e18])
     def test_mean_and_variance_within_5_sigma(self, lam):
-        # both sides of the method switch at 10, and far into PTRS
+        # both sides of the method switch at 10, far into PTRS, and past
+        # STIRLING_LAM, where lgamma's log-probability would cancel to noise
         size = 20000
         counts = _poisson_counts(lam, size, 17)
         mean = math.fsum(counts) / size

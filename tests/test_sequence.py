@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ac_diamond import holonomy
 from ac_diamond.cli import ECHO_DETUNINGS, main
 from ac_diamond.config import MAX_ROTATIONS, integer_rotations
 from ac_diamond.errors import NumericPreconditionError
@@ -122,6 +123,15 @@ class TestSimulateRunClosedForm:
         with pytest.raises(ValueError):
             simulate_run(sched, TRAJ, FIELD, PARAMS)
 
+    @pytest.mark.parametrize("mode", ["closed_form", "oracle"])
+    def test_rejects_a_one_ulp_frequency_mismatch(self, mode):
+        # the oracle reuses the first rotation's propagators for every later
+        # one, which only an exactly shared period makes exact
+        traj = station_trajectory(RADIUS, math.nextafter(FREQ, math.inf))
+        sched = build_echo_schedule(1, FREQ)
+        with pytest.raises(ValueError, match="disagree on rotation frequency"):
+            simulate_run(sched, traj, FIELD, PARAMS, mode=mode, steps_per_interval=200)
+
     def test_envelope_scales_fringe_only(self):
         lag = 0.4
         sched = build_echo_schedule(5, FREQ, lag)
@@ -217,6 +227,77 @@ class TestOracleAgreement:
         sched = build_echo_schedule(1, FREQ)
         with pytest.raises(ValueError):
             simulate_run(sched, TRAJ, FIELD, PARAMS, mode="fancy")
+
+
+def per_interval_oracle(schedule, traj, field, params, detuning_hz=0.0,
+                        steps_per_interval=20000, quadratic_mass=None):
+    """(p1, ac_phase) of an oracle run that integrates every interval of the
+    schedule afresh: the reference for the oracle's reuse of one rotation."""
+    half = schedule.half_period
+    state = holonomy.apply_rotation(holonomy.SpinState.ground(), math.pi / 2.0, 0.0)
+    for k in range(1, schedule.intervals + 1):
+        sampling = holonomy.PathSampling((k - 1) * half, k * half, steps_per_interval,
+                                         traj, field)
+        u = holonomy.path_ordered_propagator(
+            sampling, params, detuning_hz=detuning_hz, quadratic_mass=quadratic_mass).U
+        w, _, vh = np.linalg.svd(u)
+        state = holonomy.SpinState(w @ vh @ state.amplitudes)
+        if schedule.refocus:
+            state = holonomy.apply_rotation(state, math.pi, 0.0)
+    coherence = math.exp(-schedule.duration / params.T2)
+    amps = state.amplitudes
+    rho = np.outer(amps, amps.conj())
+    rho[1, 2] *= coherence
+    rho[2, 1] *= coherence
+    gate = np.eye(3, dtype=complex)
+    gate[1:, 1:] = holonomy.rotation_matrix(math.pi / 2.0, -schedule.readout_lag)
+    rho = gate @ rho @ gate.conj().T
+    return float(np.real(rho[2, 2])), float(np.angle(amps[2] * np.conj(amps[1])))
+
+
+TILTED_TRAJ = station_trajectory(RADIUS, FREQ, tilt=0.3)
+
+
+class TestOracleReusesOneRotation:
+    """The velocity has period 2h, so the oracle integrates two intervals and
+    reuses their propagators; every run must match the interval-by-interval
+    integration to rounding."""
+
+    @pytest.mark.parametrize("sched, traj, kwargs", [
+        (build_echo_schedule(7, FREQ, 0.3), TRAJ, {}),
+        (build_echo_schedule(7, FREQ, 0.3), TILTED_TRAJ, {}),
+        (build_echo_schedule(3, FREQ, 0.3), TILTED_TRAJ, {"detuning_hz": 1e4}),
+        (build_echo_schedule(3, FREQ, 0.3), TILTED_TRAJ, {"quadratic_mass": 2e-26}),
+        (odd_pulse_schedule(3, FREQ, 0.3), TILTED_TRAJ, {"detuning_hz": 1e3}),
+        (strip_pi_pulses(build_echo_schedule(3, FREQ, 0.3)), TILTED_TRAJ,
+         {"detuning_hz": 1e3}),
+    ], ids=["planar", "tilted", "detuned", "quadratic-mass", "odd-schedule",
+            "no-pi-pulses"])
+    def test_matches_the_per_interval_integration(self, sched, traj, kwargs):
+        run = simulate_run(sched, traj, FIELD, PARAMS, mode="oracle",
+                           steps_per_interval=2000, **kwargs)
+        p1, ac_phase = per_interval_oracle(sched, traj, FIELD, PARAMS,
+                                           steps_per_interval=2000, **kwargs)
+        assert abs(run.p1 - p1) <= 1e-14
+        assert abs(run.ac_phase - ac_phase) <= 1e-14
+
+    @pytest.mark.parametrize("sched, built", [
+        (odd_pulse_schedule(1, FREQ), 1),
+        (build_echo_schedule(1, FREQ), 2),
+        (build_echo_schedule(7, FREQ), 2),
+        (build_echo_schedule(20, FREQ), 2),
+    ], ids=["one-interval", "n1", "n7", "n20"])
+    def test_builds_at_most_two_propagators(self, sched, built, monkeypatch):
+        calls = []
+        build = holonomy.path_ordered_propagator
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(holonomy, "path_ordered_propagator", counted)
+        simulate_run(sched, TILTED_TRAJ, FIELD, PARAMS, mode="oracle", steps_per_interval=200)
+        assert len(calls) == built
 
 
 class TestEchoCancellation:
@@ -679,7 +760,7 @@ class TestTiltedOracle:
         coarse, mid, fine = p1(5000), p1(10000), p1(20000)
         assert (coarse - mid) / (mid - fine) == pytest.approx(4.0, rel=0.05)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 7])
     def test_p1_shift_is_second_order_in_the_tilt(self, n):
         # Tilting about y leaves y(t) unchanged, and z returns to its value at
         # every station, so each interval's first-order Magnus term k*E*dy*Sz
