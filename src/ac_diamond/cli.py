@@ -22,15 +22,11 @@ from .physics import (
     total_rectified_phase,
 )
 
-# The closed-form engine, which runs in Python floats without numpy.
-CLOSED_FORM_MODULES = (".geometry", ".phase", ".sequence")
-# The names the subcommands use from the engine and numpy modules, by defining
-# module.  A name is imported on first attribute access (``__getattr__``), or
-# by ``main`` before a subcommand whose ``SUBCOMMANDS`` entry lists its module
-# runs; a name already set on this module, e.g. by a tracer or a test double,
-# is kept.
+# The names the subcommands use from the engine modules, by defining module.
+# Handlers read them as ``lazy.<name>``: a name set on this module, e.g. by a
+# tracer or a test double, else the defining module's object, imported on
+# first access (``__getattr__``).
 _LAZY = {
-    "np": "numpy",
     "FieldConfig": ".geometry",
     "station_trajectory": ".geometry",
     "PathSampling": ".holonomy",
@@ -58,16 +54,20 @@ def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module(_LAZY[name], __package__)
-    value = globals()[name] = module if name == "np" else getattr(module, name)
+    value = globals()[name] = getattr(module, name)
     return value
 
 
-def _bind_lazy(modules) -> None:
-    """Bind the lazy names defined in ``modules`` and not yet set, so that
-    global lookups find them."""
-    for name, module in _LAZY.items():
-        if module in modules and name not in globals():
-            __getattr__(name)
+class _Lazy:
+    """``lazy.<name>`` looks ``name`` up on this module at each call, so a
+    fresh copy of the module finds its own names and patches."""
+
+    def __getattr__(self, name):
+        # the module-level __getattr__ above, not this method
+        return globals()[name] if name in globals() else __getattr__(name)
+
+
+lazy = _Lazy()
 
 
 def _fmt(value) -> str:
@@ -102,7 +102,7 @@ def _nv_params(cfg: ExperimentConfig) -> NVParameters:
 def _resolved_lag(cfg: ExperimentConfig) -> float:
     phi_max = total_rectified_phase(cfg.r, cfg.E0, cfg.n, cfg.g)
     if cfg.lag == AUTO_LAG:
-        return optimal_readout_lag(phi_max)
+        return lazy.optimal_readout_lag(phi_max)
     return float(cfg.lag)
 
 
@@ -112,8 +112,8 @@ def _echo_setup(args):
     cfg = _load(args)
     n_int = cfg.integer_rotations()
     # before the lag, so an unrepresentable r or f is refused by name
-    traj = station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt)
-    schedule = build_echo_schedule(n_int, cfg.f, _resolved_lag(cfg))
+    traj = lazy.station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt)
+    schedule = lazy.build_echo_schedule(n_int, cfg.f, _resolved_lag(cfg))
     return cfg, schedule, traj
 
 
@@ -135,9 +135,9 @@ def _cmd_phase(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, schedule, traj = _echo_setup(args)
-    grid = linear_grid(cfg.E0, args.grid)
-    sweep = sweep_signal(grid, schedule, traj, _nv_params(cfg))
-    crossings = fringe_zero_crossings(sweep.p1)
+    grid = lazy.linear_grid(cfg.E0, args.grid)
+    sweep = lazy.sweep_signal(grid, schedule, traj, _nv_params(cfg))
+    crossings = lazy.fringe_zero_crossings(sweep.p1)
     idx = sweep.max_slope_index
     print(f"readout lag: {schedule.readout_lag:.6f} rad")
     print(
@@ -159,44 +159,49 @@ def _holonomy_ladder(max_steps: int) -> list[int]:
 
 
 def _cmd_holonomy(args) -> int:
-    cfg = _load(args)
-    params = _nv_params(cfg)
-    field = FieldConfig(magnitude=cfg.E0)
-    planar = station_trajectory(cfg.r, cfg.f, tilt=0.0)
-    tilted = station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt) if cfg.tilt else planar
-    half = 1.0 / (2.0 * cfg.f)
-    exact = segment_phase(0.0, half, planar, field, params)
-    rows = []
-    worst_unitarity = 0.0
-    for steps in _holonomy_ladder(args.steps):
-        prop = path_ordered_propagator(
-            PathSampling(0.0, half, steps, planar, field), params
-        )
-        fwd = path_ordered_propagator(
-            PathSampling(0.0, 2.0 * half, steps, tilted, field), params
-        )
-        # planar steps commute, so the reverse-ordered product is fwd bit for bit
-        rev = fwd if tilted is planar else path_ordered_propagator(
-            PathSampling(0.0, 2.0 * half, steps, tilted, field), params, reverse=True
-        )
-        worst_unitarity = max(worst_unitarity, prop.defect, fwd.defect)
-        rows.append(
-            (
-                steps,
-                abs(prop.abelian_phase() - exact),
-                prop.offdiagonal_norm(),
-                float(np.linalg.norm(fwd.U - rev.U, 2)),
+    import numpy as np
+
+    # a float overflow, 0/0 or x/0 is a numeric precondition violation
+    # (exit 3), not a warning printed before inf/NaN output
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        cfg = _load(args)
+        params = _nv_params(cfg)
+        field = lazy.FieldConfig(magnitude=cfg.E0)
+        planar = lazy.station_trajectory(cfg.r, cfg.f, tilt=0.0)
+        tilted = lazy.station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt) if cfg.tilt else planar
+        half = 1.0 / (2.0 * cfg.f)
+        exact = lazy.segment_phase(0.0, half, planar, field, params)
+        rows = []
+        worst_unitarity = 0.0
+        for steps in _holonomy_ladder(args.steps):
+            prop = lazy.path_ordered_propagator(
+                lazy.PathSampling(0.0, half, steps, planar, field), params
             )
+            fwd = lazy.path_ordered_propagator(
+                lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field), params
+            )
+            # planar steps commute, so the reverse-ordered product is fwd bit for bit
+            rev = fwd if tilted is planar else lazy.path_ordered_propagator(
+                lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field), params, reverse=True
+            )
+            worst_unitarity = max(worst_unitarity, prop.defect, fwd.defect)
+            rows.append(
+                (
+                    steps,
+                    abs(prop.abelian_phase() - exact),
+                    prop.offdiagonal_norm(),
+                    float(np.linalg.norm(fwd.U - rev.U, 2)),
+                )
+            )
+        print(f"planar segment phase (analytic): {exact:.9f} rad")
+        print(f"worst unitarity defect: {worst_unitarity:.3e}")
+        print(f"tilt used for path-dependence column: {cfg.tilt:g} rad")
+        _emit_csv(
+            args.out,
+            ("steps", "planar_phase_error", "offdiag_norm", "path_dep_norm"),
+            rows,
         )
-    print(f"planar segment phase (analytic): {exact:.9f} rad")
-    print(f"worst unitarity defect: {worst_unitarity:.3e}")
-    print(f"tilt used for path-dependence column: {cfg.tilt:g} rad")
-    _emit_csv(
-        args.out,
-        ("steps", "planar_phase_error", "offdiag_norm", "path_dep_norm"),
-        rows,
-    )
-    return 0
+        return 0
 
 
 def _cmd_sensitivity(args) -> int:
@@ -231,7 +236,7 @@ def _cmd_montecarlo(args) -> int:
     params = _nv_params(cfg)
     rows = []
     for offset, shots in enumerate(MC_SHOT_LADDER):
-        estimate = monte_carlo_experiment(
+        estimate = lazy.monte_carlo_experiment(
             cfg.E0, schedule, traj, params, model, shots, cfg.seed + offset
         )
         rows.append((shots, estimate.mean, estimate.std_error))
@@ -264,12 +269,12 @@ def _cmd_stark(args) -> int:
 
 def _cmd_echo_check(args) -> int:
     cfg, schedule, traj = _echo_setup(args)
-    field = FieldConfig(magnitude=cfg.E0)
+    field = lazy.FieldConfig(magnitude=cfg.E0)
     params = _nv_params(cfg)
-    baseline = simulate_run(schedule, traj, field, params, mode="closed_form")
+    baseline = lazy.simulate_run(schedule, traj, field, params, mode="closed_form")
     rows = []
     for detuning in ECHO_DETUNINGS:
-        run = simulate_run(
+        run = lazy.simulate_run(
             schedule, traj, field, params, mode="closed_form",
             detuning_hz=detuning,
         )
@@ -292,23 +297,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# name -> (handler, help, the _LAZY modules whose names the handler uses,
-# its count flag as (flag, default, help) or None).  A numpy subcommand runs
-# under np.errstate; the others compute Python floats, which the code checks
-# for overflow itself.
+# name -> (handler, help, its count flag as (flag, default, help) or None)
 SUBCOMMANDS = {
-    "phase": (_cmd_phase, "closed-form total rectified A-C phase", (), None),
+    "phase": (_cmd_phase, "closed-form total rectified A-C phase", None),
     "sweep": (_cmd_sweep, "fluorescence signal vs field strength",
-              CLOSED_FORM_MODULES, ("--grid", 201, "number of sweep grid points")),
+              ("--grid", 201, "number of sweep grid points")),
     "holonomy": (_cmd_holonomy, "path-ordered propagator diagnostics",
-                 ("numpy", ".geometry", ".phase", ".holonomy"),
                  ("--steps", 100000, "finest path-integration step count")),
-    "sensitivity": (_cmd_sensitivity, "contrast and phase sensitivity report", (), None),
-    "montecarlo": (_cmd_montecarlo, "photon-count Monte Carlo phase estimate",
-                   (*CLOSED_FORM_MODULES, ".measurement"), None),
-    "stark": (_cmd_stark, "ground-state Stark shift and adiabaticity", (), None),
-    "echo-check": (_cmd_echo_check, "residual phase vs constant detuning",
-                   CLOSED_FORM_MODULES, None),
+    "sensitivity": (_cmd_sensitivity, "contrast and phase sensitivity report", None),
+    "montecarlo": (_cmd_montecarlo, "photon-count Monte Carlo phase estimate", None),
+    "stark": (_cmd_stark, "ground-state Stark shift and adiabaticity", None),
+    "echo-check": (_cmd_echo_check, "residual phase vs constant detuning", None),
 }
 
 
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, modules, count) in SUBCOMMANDS.items():
+    for name, (handler, help_text, count) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="experiment config file (key = value lines)")
         p.add_argument("--out", help="CSV output path (default: stdout)")
@@ -330,20 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
         if count:
             flag, default, flag_help = count
             p.add_argument(flag, type=_positive_int, default=default, help=flag_help)
-        p.set_defaults(func=handler, modules=modules)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _bind_lazy(args.modules)
-        if "numpy" not in args.modules:
-            return args.func(args)
-        # a float overflow, 0/0 or x/0 is a numeric precondition violation
-        # (exit 3), not a warning printed before inf/NaN output
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -108,8 +108,15 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {path} is not UTF-8: byte {exc.object[exc.start]:#04x} "
+            f"at offset {exc.start}"
+        ) from None
     seen: dict[str, object] = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         content = line.split("#", 1)[0].strip()
         if not content:
             continue

@@ -159,7 +159,8 @@ def simulate_run(
     """Evolve one echo run and read out the |1> population.
 
     closed_form: one walk over the station grid (:func:`_closed_form_walk`)
-    evaluated at this field; requires planar motion.
+    evaluated at this field; requires planar motion and refuses a
+    ``quadratic_mass``, which it does not model.
 
     oracle: integrates the two intervals of one rotation with the path-ordered
     stepper, then applies their propagators in turn between the pulse rotation
@@ -168,6 +169,9 @@ def simulate_run(
     if mode not in ("closed_form", "oracle"):
         raise ValueError(f"unknown simulation mode {mode!r}")
     if mode == "closed_form":
+        if quadratic_mass is not None:
+            raise ValueError("closed-form mode does not model quadratic_mass; "
+                             "use mode='oracle'")
         walk = _closed_form_walk(schedule, traj, field, params, detuning_hz)
         coherence = math.exp(-schedule.duration / params.T2)
         return RunResult(

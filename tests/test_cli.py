@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ac_diamond import cli
@@ -21,19 +21,6 @@ from ac_diamond.holonomy import PathSampling, path_ordered_propagator
 DEFAULT_CFG = "configs/default.cfg"
 PHI10_CFG = "configs/phi10.cfg"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def unbind_lazy_names():
-    """Remove every lazy name bound on the shared ``cli`` module, so that a
-    handler using a name its ``SUBCOMMANDS`` entry does not bind fails instead
-    of finding it bound by an earlier run."""
-    for name in cli._LAZY:
-        vars(cli).pop(name, None)
-
-
-@pytest.fixture(autouse=True)
-def each_test_starts_unbound():
-    unbind_lazy_names()
 
 
 def read_csv(path):
@@ -149,6 +136,15 @@ class TestHolonomy:
             assert float(row[3]) == float(np.linalg.norm(fwd.U - rev.U, 2))
             assert float(row[3]) > 0.0
 
+    def test_float_overflow_exits_3(self, monkeypatch, capsys):
+        # the handler runs under np.errstate, so an overflow raises, not warns
+        def overflowing(*args, **kwargs):
+            return np.float64(1e308) * 10.0
+
+        monkeypatch.setattr(cli, "segment_phase", overflowing)
+        assert main(["holonomy", "--config", PHI10_CFG, "--steps", "16"]) == 3
+        assert "overflow encountered" in capsys.readouterr().err
+
     def test_step_precondition_exit_code(self, capsys):
         assert main(["holonomy", "--steps", "1"]) == 3
         assert "precondition" in capsys.readouterr().err
@@ -233,6 +229,16 @@ class TestErrors:
         assert main(["phase", "--config", str(cfg)]) == 2
         assert "'r'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", [b"r = 0.01\n# caf\xe9\n", b"\xff"],
+                             ids=["latin-1-comment", "lone-ff"])
+    def test_non_utf8_config_exits_2(self, raw, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(raw)
+        assert main(["phase", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config file {cfg} is not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_zero_field_splitting_key_is_unknown(self, tmp_path, capsys):
         # D never entered a rotating-frame result, so it is no longer a key
         cfg = tmp_path / "old.cfg"
@@ -241,21 +247,23 @@ class TestErrors:
         assert "unknown config key 'D'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, config_text",
-    [
-        (["sweep", "--grid", "0"], ""),
-        (["sweep", "--grid", "-3"], ""),
-        (["montecarlo"], "seed = -1\n"),
-        (["montecarlo", "--seed", "-5"], ""),
-        (["holonomy", "--steps", "0"], ""),
-        (["holonomy", "--steps", "-5"], ""),
-    ],
-    ids=["grid-0", "grid-neg", "config-seed-neg", "flag-seed-neg", "steps-0", "steps-neg"],
-)
+# name -> (argv, config text); tests/test_golden.py pins each one's exit code and
+# refusal text
+BAD_FLAGS_AND_SEEDS = {
+    "grid-0": (["sweep", "--grid", "0"], "n = 7\n"),
+    "grid-neg": (["sweep", "--grid", "-3"], "n = 7\n"),
+    "config-seed-neg": (["montecarlo"], "n = 7\nseed = -1\n"),
+    "flag-seed-neg": (["montecarlo", "--seed", "-5"], "n = 7\n"),
+    "steps-0": (["holonomy", "--steps", "0"], "n = 7\n"),
+    "steps-neg": (["holonomy", "--steps", "-5"], "n = 7\n"),
+}
+
+
+@pytest.mark.parametrize("argv, config_text", list(BAD_FLAGS_AND_SEEDS.values()),
+                         ids=list(BAD_FLAGS_AND_SEEDS))
 def test_bad_flags_and_seeds_exit_2(argv, config_text, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 7\n" + config_text)
+    cfg.write_text(config_text)
     try:
         code = main([*argv, "--config", str(cfg)])
     except SystemExit as exc:
@@ -423,14 +431,8 @@ _FLAG_VALUES = st.one_of(
     grid=_FLAG_VALUES,
     seed=st.one_of(st.none(), st.integers(min_value=-2, max_value=2**64).map(str)),
 )
-# a numpy run, then a closed-form run that must not find numpy's names bound
-@example(command="holonomy", lines=[], n="n = 1\n", steps="1024", grid="16", seed=None)
-@example(command="montecarlo", lines=[], n="n = 1\n", steps="16", grid="16", seed=None)
 def test_fuzzed_config_and_flags_exit_0_2_or_3(command, lines, n, steps, grid, seed):
-    # n <= 7, --steps <= 1024 and --grid <= 1024 keep each run to milliseconds;
-    # every run is in-process, and one test call runs every example, so each
-    # example unbinds the lazy names an earlier one bound
-    unbind_lazy_names()
+    # n <= 7, --steps <= 1024 and --grid <= 1024 keep each run to milliseconds
     text = n + "".join(line + "\n" for line in lines)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"

@@ -1,6 +1,7 @@
 """Tests for the line-based configuration format."""
 
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -83,6 +84,18 @@ class TestParsing:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, "E0 = inf\n"))
+
+    def test_utf8_comment_is_read_as_utf8(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes("r = 0.02  # café\n".encode("utf-8"))
+        assert load_config(path).r == 0.02
+
+    def test_non_utf8_file_names_the_file_and_byte(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"r = 0.01\n# caf\xe9\n")
+        message = f"config file {path} is not UTF-8: byte 0xe9 at offset 14"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
 
 
 class TestConstraints:

@@ -1,10 +1,10 @@
 """Golden outputs of the CLI: the exit code, stdout, stderr and CSV of the
 README recipes, a tilted ``holonomy`` run, every ``--help`` text, the
-argparse refusals and the extreme-value configs of
-``tests/test_cli.py::EXTREME_VALUES``, run in-process through
-``ac_diamond.cli.main`` and compared with the files under ``tests/golden/``.
-An extreme-value case writes its config text, which its golden file records,
-to a fresh config path.
+argparse refusals, and the configs of ``tests/test_cli.py::EXTREME_VALUES``
+and ``BAD_FLAGS_AND_SEEDS``, run in-process through ``ac_diamond.cli.main``
+and compared with the files under ``tests/golden/``.  A case from those two
+tables writes its config text, which its golden file records, to a fresh
+config path.
 
 The subcommands that compute in Python floats and ``math`` (``montecarlo``
 draws from ``random.Random``), the help texts and the refusals must match
@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from ac_diamond import cli
-from test_cli import EXTREME_VALUES
+from test_cli import BAD_FLAGS_AND_SEEDS, EXTREME_VALUES
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -73,19 +73,26 @@ CASES = {
     "refused-montecarlo-steps": ["montecarlo", "--steps", "5"],
     **{f"extreme-{name}": [*argv, "--config", CFG, "--out", CSV]
        for name, (argv, _, _) in EXTREME_VALUES.items()},
+    # run with a config file; "bad-" keeps them apart from refused-grid-0 above
+    **{f"refused-bad-{name}": [*argv, "--config", CFG]
+       for name, (argv, _) in BAD_FLAGS_AND_SEEDS.items()},
 }
-CONFIGS = {f"extreme-{name}": text for name, (_, text, _) in EXTREME_VALUES.items()}
+CONFIGS = {
+    **{f"extreme-{name}": text for name, (_, text, _) in EXTREME_VALUES.items()},
+    **{f"refused-bad-{name}": text for name, (_, text) in BAD_FLAGS_AND_SEEDS.items()},
+}
 # the cases that run a numpy subcommand past argument parsing
 NUMERIC = {"holonomy", "holonomy-tilted",
-           *(name for name in CONFIGS if CASES[name][0] == "holonomy")}
+           *(f"extreme-{name}" for name, (argv, _, _) in EXTREME_VALUES.items()
+             if argv[0] == "holonomy")}
 
 
 def run_case(name, workdir: Path):
     """Exit code and output streams of ``main`` on the case's argv, run from
     the repository root with the help width fixed.
 
-    Each case runs on a fresh ``ac_diamond.cli`` module, so that a subcommand
-    finds only the lazy names its own ``SUBCOMMANDS`` entry binds.
+    Each case runs on a fresh ``ac_diamond.cli`` module, so that no name a
+    test or an earlier case set on the shared module reaches it.
     """
     spec = importlib.util.find_spec("ac_diamond.cli")
     fresh = importlib.util.module_from_spec(spec)

@@ -1,7 +1,7 @@
-"""Only the subcommands whose ``cli.SUBCOMMANDS`` entry lists numpy load it,
-and the subcommands' names in ``ac_diamond.cli`` are imported lazily yet stay
-patchable."""
+"""Only ``holonomy`` loads numpy, and the subcommands' names in
+``ac_diamond.cli`` are imported lazily yet stay patchable."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -43,35 +43,35 @@ def _fresh_interpreter(code, *args) -> list[str]:
     return done.stdout.splitlines()[-1].split()
 
 
-# the subcommands that may load numpy, read from the table's module column
-NUMPY_SUBCOMMANDS = {
-    name for name, (_, _, modules, _) in cli.SUBCOMMANDS.items() if "numpy" in modules
-}
 PHI10_TEXT = Path(PHI10_CFG).read_text()
-# id -> (argv, config text or None for default.cfg, exit code, engine modules)
+# id -> (argv, config text or None for default.cfg, exit code, loads numpy,
+# engine modules)
 PROBES = {
-    "phase": (["phase"], None, "0", "-"),
-    "sensitivity": (["sensitivity"], None, "0", "-"),
-    "stark": (["stark"], None, "0", "-"),
-    "phase-overflow": (["phase"], "r = 1e200\nE0 = 1e200\n", "3", "-"),
-    "sweep": (["sweep"], "n = 7\n", "0", ENGINE),
-    "sweep-2000": (["sweep", "--grid", "2000"], "n = 7\n", "0", ENGINE),
-    "echo-check": (["echo-check"], "n = 7\n", "0", ENGINE),
+    "phase": (["phase"], None, "0", False, "-"),
+    "sensitivity": (["sensitivity"], None, "0", False, "-"),
+    "stark": (["stark"], None, "0", False, "-"),
+    "phase-overflow": (["phase"], "r = 1e200\nE0 = 1e200\n", "3", False, "-"),
+    "sweep": (["sweep"], "n = 7\n", "0", False, ENGINE),
+    "sweep-2000": (["sweep", "--grid", "2000"], "n = 7\n", "0", False, ENGINE),
+    "echo-check": (["echo-check"], "n = 7\n", "0", False, ENGINE),
     # refused: E0 too small to resolve the grid, 2r*E0 overflows
-    "sweep-unresolvable-grid": (["sweep"], "E0 = 5e-324\nn = 7\n", "3", ENGINE),
-    "echo-check-overflow": (["echo-check"], "r = 1e300\nE0 = 1e10\nn = 1\n", "3", ENGINE),
+    "sweep-unresolvable-grid": (["sweep"], "E0 = 5e-324\nn = 7\n", "3", False, ENGINE),
+    "echo-check-overflow": (["echo-check"], "r = 1e300\nE0 = 1e10\nn = 1\n", "3", False,
+                            ENGINE),
     # no holonomy; a mean count beyond the Poisson sampler's range is refused
-    "montecarlo": (["montecarlo"], PHI10_TEXT, "0", ENGINE),
-    "montecarlo-huge-counts": (["montecarlo"], "alpha0 = 1e30\nn = 2\n", "3", ENGINE),
+    "montecarlo": (["montecarlo"], PHI10_TEXT, "0", False, ENGINE),
+    "montecarlo-huge-counts": (["montecarlo"], "alpha0 = 1e30\nn = 2\n", "3", False, ENGINE),
     # no sequence
-    "holonomy": (["holonomy"], PHI10_TEXT, "0", "geometry,phase,holonomy"),
+    "holonomy": (["holonomy"], PHI10_TEXT, "0", True, "geometry,phase,holonomy"),
 }
+NUMPY_SUBCOMMANDS = {argv[0] for argv, _, _, numpy, _ in PROBES.values() if numpy}
 
 
 def _probes(numpy: bool):
-    """The probes of the subcommands that do, or do not, list numpy."""
-    chosen = {key: probe for key, probe in PROBES.items()
-              if (probe[0][0] in NUMPY_SUBCOMMANDS) == numpy}
+    """The probes of the subcommands that do, or do not, load numpy."""
+    chosen = {key: (argv, config_text, code, engine)
+              for key, (argv, config_text, code, loads, engine) in PROBES.items()
+              if loads == numpy}
     return pytest.mark.parametrize("argv, config_text, code, engine",
                                    list(chosen.values()), ids=list(chosen))
 
@@ -144,7 +144,6 @@ def test_numpy_subcommands_call_through_the_module_attributes(tmp_path):
     # forward loop on each of 5 rungs
     assert calls == {"monte_carlo_experiment": 3, "path_ordered_propagator": 10}
     assert (cli.monte_carlo_experiment, cli.path_ordered_propagator) == patched
-    assert vars(cli)["simulate_run"] is sequence.simulate_run  # bound by main
 
 
 @pytest.mark.parametrize("command", ["sweep", "echo-check", "montecarlo"])
@@ -160,18 +159,40 @@ def test_closed_form_subcommands_bind_no_numpy_names(command, tmp_path):
     out = str(tmp_path / "out.csv")
     assert cli.main([command, "--config", PHI10_CFG, "--out", out]) == 0
     assert len(calls) == (command == "sweep")
-    _, _, modules, _ = cli.SUBCOMMANDS[command]
-    bound = {name for name in cli._LAZY if name in vars(cli)}
-    assert bound == {name for name, module in cli._LAZY.items() if module in modules}
-    assert "np" not in bound
     assert cli.sweep_signal is sweep
-    assert vars(cli)["simulate_run"] is sequence.simulate_run
 
 
 def test_lazy_names_resolve_on_attribute_access():
     cli = _fresh_cli()
     assert cli.simulate_run is sequence.simulate_run
     assert vars(cli)["simulate_run"] is sequence.simulate_run  # kept after first use
-    assert cli.np is sys.modules["numpy"]
     with pytest.raises(AttributeError, match="bogus"):
         getattr(cli, "bogus")
+
+
+def test_every_lazy_attribute_is_a_lazy_name():
+    # so a typo fails even on a handler path no test runs
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "lazy"}
+    assert used <= set(cli._LAZY)
+    # and each name is used, but the one the benchmark tracer patches
+    assert set(cli._LAZY) - used == {"unitarity_defect"}
+
+
+@pytest.mark.parametrize("name", sorted(cli._LAZY))
+def test_lazy_name_is_the_defining_modules_object(name):
+    want = getattr(importlib.import_module(cli._LAZY[name], "ac_diamond"), name)
+    assert getattr(_fresh_cli(), name) is want
+    assert getattr(_fresh_cli().lazy, name) is want
+
+
+def test_lazy_handle_reads_its_own_module(monkeypatch):
+    # a fresh copy of the module, as tests/test_golden.py runs each case on,
+    # must not see a name set on the shared one
+    monkeypatch.setattr(cli, "sweep_signal", object())
+    fresh = _fresh_cli()
+    assert fresh.lazy.sweep_signal is sequence.sweep_signal
+    fresh.sweep_signal = patched = object()
+    assert fresh.lazy.sweep_signal is patched

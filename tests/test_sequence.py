@@ -132,6 +132,13 @@ class TestSimulateRunClosedForm:
         with pytest.raises(ValueError, match="disagree on rotation frequency"):
             simulate_run(sched, traj, FIELD, PARAMS, mode=mode, steps_per_interval=200)
 
+    @pytest.mark.parametrize("mass", [1e-32, 0.0])
+    def test_closed_form_refuses_a_quadratic_mass(self, mass):
+        # the oracle's p1 moves by ~5e-5 at 1e-32; the closed form ignored it
+        sched = odd_pulse_schedule(3, FREQ, 0.3)
+        with pytest.raises(ValueError, match="quadratic_mass"):
+            simulate_run(sched, TRAJ, FIELD, PARAMS, quadratic_mass=mass)
+
     def test_envelope_scales_fringe_only(self):
         lag = 0.4
         sched = build_echo_schedule(5, FREQ, lag)
