@@ -109,7 +109,8 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        # a leading byte-order mark (some editors write one) is not content
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"config file {path} is not UTF-8: byte {exc.object[exc.start]:#04x} "

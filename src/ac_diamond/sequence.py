@@ -246,9 +246,10 @@ def _run_oracle(
     # The velocity has period 2h, so interval k + 2 has interval k's
     # propagator: only the first two intervals are integrated.  Each
     # propagator is replaced by its polar (nearest-unitary) factor, as each
-    # eigendecomposed step exponential is unitary only to ~1e-15 and that
-    # defect adds up along the product (about 2.5e-13 over 1e4 tilted steps),
-    # so a state carried through many intervals would drift off unit norm.
+    # closed-form step is unitary only to rounding and that defect adds up
+    # along the product (about 2e-13 over 1e4 tilted steps, 1.4e-12 with a
+    # 1e4 Hz detuning), so a state carried through many intervals would drift
+    # off unit norm.
     period = []
     for k in range(min(schedule.intervals, 2)):
         sampling = PathSampling(k * half, (k + 1) * half, steps_per_interval, traj, field)

@@ -218,6 +218,18 @@ class TestErrors:
         assert main(["phase", "--config", "does/not/exist.cfg"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["phase", "--config", DEFAULT_CFG], ["sweep", "--config", PHI10_CFG]],
+        ids=["phase", "sweep"],
+    )
+    def test_out_into_missing_directory_exits_1(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("I/O failure:")
+        assert str(out) in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

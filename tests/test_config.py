@@ -90,6 +90,18 @@ class TestParsing:
         path.write_bytes("r = 0.02  # café\n".encode("utf-8"))
         assert load_config(path).r == 0.02
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfr = 0.02\n")
+        assert load_config(path).r == 0.02
+
+    def test_bad_byte_after_byte_order_mark_names_the_file_offset(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfr = 0.01\n# caf\xe9\n")
+        message = f"config file {path} is not UTF-8: byte 0xe9 at offset 17"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+
     def test_non_utf8_file_names_the_file_and_byte(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"r = 0.01\n# caf\xe9\n")

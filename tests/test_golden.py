@@ -9,7 +9,7 @@ config path.
 The subcommands that compute in Python floats and ``math`` (``montecarlo``
 draws from ``random.Random``), the help texts and the refusals must match
 byte for byte.  The numpy subcommand ``holonomy`` rests on numpy's vectorised
-functions and eigensolver, which may round differently on another CPU or
+functions and matrix products, which may round differently on another CPU or
 numpy version: its text must match and its numbers agree to
 ``ABS_TOL + REL_TOL*|value|``; its golden files record the numpy version they
 were written with.  The help texts and refusals are argparse's own
@@ -71,6 +71,9 @@ CASES = {
     "refused-sweep-steps": ["sweep", "--steps", "5"],
     "refused-holonomy-grid": ["holonomy", "--grid", "5"],
     "refused-montecarlo-steps": ["montecarlo", "--steps", "5"],
+    # a config saved with a byte-order mark, and one with a fixed lag
+    "config-bom": ["phase", "--config", CFG],
+    "sweep-fixed-lag": ["sweep", "--config", CFG, "--grid", "5"],
     **{f"extreme-{name}": [*argv, "--config", CFG, "--out", CSV]
        for name, (argv, _, _) in EXTREME_VALUES.items()},
     # run with a config file; "bad-" keeps them apart from refused-grid-0 above
@@ -78,6 +81,8 @@ CASES = {
        for name, (argv, _) in BAD_FLAGS_AND_SEEDS.items()},
 }
 CONFIGS = {
+    "config-bom": "\ufeffr = 0.02\n",
+    "sweep-fixed-lag": "n = 7\nlag = 1.0\n",
     **{f"extreme-{name}": text for name, (_, text, _) in EXTREME_VALUES.items()},
     **{f"refused-bad-{name}": text for name, (_, text) in BAD_FLAGS_AND_SEEDS.items()},
 }
@@ -99,7 +104,7 @@ def run_case(name, workdir: Path):
     spec.loader.exec_module(fresh)
     csv, cfg = workdir / "out.csv", workdir / "run.cfg"
     if name in CONFIGS:
-        cfg.write_text(CONFIGS[name])
+        cfg.write_text(CONFIGS[name], encoding="utf-8")
     argv = [{CSV: str(csv), CFG: str(cfg)}.get(arg, arg) for arg in CASES[name]]
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):

@@ -16,8 +16,6 @@ from ac_diamond.holonomy import (
     _coupling_axes,
     _ordered_product,
     _quadratic_diagonal_shift,
-    _spin_generators,
-    _step_unitaries,
     dyson_second_order,
     path_ordered_propagator,
     unitarity_defect,
@@ -53,7 +51,16 @@ def scaled_field(traj, budget=0.1, steps=20001):
 
 def generators(samp):
     """Midpoint generators G = axes . S of every step, as a (steps, 3, 3) stack."""
-    return _spin_generators(_coupling_axes(samp, PARAMS))
+    # one complex matrix product, (N, 3) @ (3, 9)
+    gens = _coupling_axes(samp, PARAMS).astype(complex) @ spin_operators().reshape(3, -1)
+    return gens.reshape(-1, 3, 3)
+
+
+def _exp_hermitian(h, t=1.0):
+    """exp(-i*t*h) of a Hermitian matrix h, or of each one in a stack, by
+    eigendecomposition: the independent reference for the closed-form steps."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
 def effective_hamiltonian_evolve(samp, initial, **constant_diagonal):
@@ -205,6 +212,14 @@ class TestPathOrderedPropagator:
         with pytest.raises(TypeError, match="dimension"):
             call(sampling(100))
 
+    @pytest.mark.parametrize(
+        "t1, steps", [(HALF, 0), (HALF, -1), (0.0, 10), (-HALF, 10)],
+        ids=["zero-steps", "negative-steps", "empty-span", "reversed-span"],
+    )
+    def test_sampling_refuses_no_steps_or_no_span(self, t1, steps):
+        with pytest.raises(ValueError):
+            sampling(steps, t1=t1)
+
     def test_nonunitary_matrix_rejected(self):
         with pytest.raises(ValueError):
             Propagator(U=np.diag([1.0, 1.0, 2.0]).astype(complex))
@@ -224,7 +239,7 @@ class TestStreamingStepper:
         # 0.1 rad of coupling per rotation: even one step over 0.6 rotations
         # passes the step-resolution bound
         samp = sampling(steps, t1=0.6 / FREQ, traj=traj, field=scaled_field(traj))
-        stack = _step_unitaries(generators(samp), samp.dt)
+        stack = _exp_hermitian(generators(samp), samp.dt)
         expected = _ordered_product(stack[::-1] if reverse else stack)
         prop = path_ordered_propagator(samp, PARAMS, reverse=reverse)
         assert np.max(np.abs(prop.U - expected)) < 1e-13
@@ -238,10 +253,9 @@ class TestStreamingStepper:
 
     def test_planar_path_never_diagonalises(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("coupling axes or generators built for planar motion")
+            raise AssertionError("coupling axes or step exponentials built for planar motion")
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(holonomy, "_spin_generators", refuse)
+        monkeypatch.setattr(holonomy, "_step_exponentials", refuse)
         monkeypatch.setattr(holonomy, "_coupling_axes", refuse)
         samp = sampling(3 * _CHUNK_STEPS + 5)
         prop = path_ordered_propagator(samp, PARAMS)
@@ -278,31 +292,44 @@ class TestStreamingStepper:
         assert np.array_equal(detuned.U, reference(np.array([0.0, 0.0, 2.0 * np.pi * 1e5])))
 
     def test_constant_diagonal_joins_every_tilted_step(self):
-        # the detuning and the quadratic level shifts are added to each
-        # midpoint generator before it is exponentiated
+        # the detuning and the quadratic level shifts are split in halves
+        # around each midpoint exponential of a.S
         field = scaled_field(TILTED)
         samp = sampling(_CHUNK_STEPS + 3, t1=0.6 / FREQ, traj=TILTED, field=field)
         const_diag = (np.array([0.0, 0.0, 2.0 * np.pi * 1e3])
                       + _quadratic_diagonal_shift(field.magnitude, PARAMS, 2e-26))
-        stack = _step_unitaries(generators(samp) + np.diag(const_diag), samp.dt)
+        half = np.exp(-0.5j * samp.dt * const_diag)
+        stack = half[:, None] * _exp_hermitian(generators(samp), samp.dt) * half
         prop = path_ordered_propagator(samp, PARAMS, detuning_hz=1e3, quadratic_mass=2e-26)
         assert np.max(np.abs(prop.U - _ordered_product(stack))) < 1e-13
         assert np.max(np.abs(prop.U - path_ordered_propagator(samp, PARAMS).U)) > 1e-3
 
-    def test_any_tilt_takes_the_general_path_from_the_first_block(self, monkeypatch):
-        eigh_calls = []
-        eigh = np.linalg.eigh
+    def test_split_constant_diagonal_is_second_order(self):
+        # the detuning does not commute with the tilted coupling; splitting
+        # it symmetrically keeps the product second order in dt
+        def propagate(steps):
+            samp = sampling(steps, t1=1.0 / FREQ, traj=TILTED)
+            return path_ordered_propagator(samp, PARAMS, detuning_hz=2e4).U
 
-        def counted_eigh(*args, **kwargs):
-            eigh_calls.append(1)
-            return eigh(*args, **kwargs)
+        fine = propagate(256000)
+        errors = [np.max(np.abs(propagate(steps) - fine)) for steps in (2000, 4000, 8000)]
+        for coarse, finer in zip(errors, errors[1:]):
+            assert coarse / finer == pytest.approx(4.0, rel=0.02)
+
+    def test_any_tilt_takes_the_general_path_from_the_first_block(self, monkeypatch):
+        calls = []
+        step_exponentials = holonomy._step_exponentials
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return step_exponentials(*args, **kwargs)
 
         field = scaled_field(BARELY_TILTED)
         samp = sampling(_CHUNK_STEPS + 1, t1=0.6 / FREQ, traj=BARELY_TILTED, field=field)
-        expected = _ordered_product(_step_unitaries(generators(samp), samp.dt))
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        expected = _ordered_product(_exp_hermitian(generators(samp), samp.dt))
+        monkeypatch.setattr(holonomy, "_step_exponentials", counted)
         prop = path_ordered_propagator(samp, PARAMS)
-        assert len(eigh_calls) == 2  # one per block
+        assert len(calls) == 2  # one per block
         assert np.max(np.abs(prop.U - expected)) < 1e-13
 
     def test_coarse_planar_step_refused_alike_on_both_paths(self):
@@ -325,12 +352,6 @@ class TestStreamingStepper:
                 tracemalloc.stop()
 
         assert peak_bytes(32 * _CHUNK_STEPS) < 2.0 * peak_bytes(4 * _CHUNK_STEPS)
-
-
-def _exp_hermitian(h, t=1.0):
-    """exp(-i*t*h) of a Hermitian matrix h."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 # coupling strength k*E*2*pi*f*r of FIELD on the RADIUS, FREQ disk, rad/s
@@ -360,8 +381,8 @@ def rabi_reference(t0, t1, reverse=False):
 
 class TestQuarterTurnTiltReference:
     """Tilt pi/2 against its closed form: the only non-Abelian case with an
-    exact propagator, so it checks the general (eigh) stepper's accuracy and
-    not only its self-consistency."""
+    exact propagator, so it checks the closed-form (Rodrigues) steps' accuracy
+    and not only their self-consistency."""
 
     TILT_90 = station_trajectory(RADIUS, FREQ, tilt=np.pi / 2.0)
     PERIOD = 1.0 / FREQ
@@ -369,7 +390,7 @@ class TestQuarterTurnTiltReference:
     # |U - U_exact| * steps^2 over one rotation at r = 0.01 m, f = 4 kHz,
     # E = 3e7 V/m: measured 2.590 in both directions, plus 5% headroom
     ERROR_CONSTANT = 2.72
-    # each eigendecomposed step is unitary to ~1e-15, so 1e4 steps stay far
+    # each closed-form step is unitary to ~1e-16, so 1e4 steps stay far
     # below this
     ROUNDING = 1e-12
 

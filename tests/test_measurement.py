@@ -17,10 +17,8 @@ from ac_diamond.measurement import (
 from ac_diamond.physics import (
     NVParameters,
     ReadoutModel,
-    analytic_sensitivity,
     contrast,
     sensitivity_report,
-    time_to_precision,
 )
 from ac_diamond.sequence import (
     build_echo_schedule,
@@ -70,47 +68,47 @@ class TestContrast:
             ReadoutModel(alpha0=0.02, alpha1=0.03)
 
 
+def eta(c_factor, t2=1.8e-3):
+    return sensitivity_report(c_factor, t2, 1e11).eta
+
+
 class TestAnalyticSensitivity:
     def test_reference_value(self):
-        eta = analytic_sensitivity(0.05, 1.8e-3)
-        assert eta == pytest.approx(math.sqrt(2.0) / (0.05 * math.sqrt(1.8e-3)),
-                                    rel=1e-12)
-        assert eta == pytest.approx(666.6667, abs=1e-3)
+        assert eta(0.05) == pytest.approx(math.sqrt(2.0) / (0.05 * math.sqrt(1.8e-3)),
+                                          rel=1e-12)
+        assert eta(0.05) == pytest.approx(666.6667, abs=1e-3)
 
     def test_ensemble_value(self):
-        eta = analytic_sensitivity(0.05, 1.8e-3)
-        assert eta / math.sqrt(1e11) == pytest.approx(2.108e-3, abs=1e-5)
+        report = sensitivity_report(0.05, 1.8e-3, 1e11)
+        assert report.eta_ensemble == pytest.approx(2.108e-3, abs=1e-5)
 
     def test_doubling_contrast_halves_eta(self):
-        assert analytic_sensitivity(0.1, 1.8e-3) == pytest.approx(
-            analytic_sensitivity(0.05, 1.8e-3) / 2.0, rel=1e-12
-        )
+        assert eta(0.1) == pytest.approx(eta(0.05) / 2.0, rel=1e-12)
 
     def test_monotone_in_both_arguments(self):
-        base = analytic_sensitivity(0.05, 1.8e-3)
-        assert analytic_sensitivity(0.06, 1.8e-3) < base
-        assert analytic_sensitivity(0.05, 2.4e-3) < base
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            analytic_sensitivity(0.0, 1.8e-3)
-        with pytest.raises(ValueError):
-            analytic_sensitivity(0.05, 0.0)
+        assert eta(0.06) < eta(0.05)
+        assert eta(0.05, 2.4e-3) < eta(0.05)
 
 
 class TestTimeToPrecision:
     def test_one_radian(self):
-        t = time_to_precision(analytic_sensitivity(0.05, 1.8e-3), 1.0)
+        t = sensitivity_report(0.05, 1.8e-3, 1e11).T_to_1rad
         assert t == pytest.approx(4.444444e5, rel=1e-6)
         assert 100.0 <= t / 3600.0 <= 140.0
 
     def test_inverse_square(self):
-        assert time_to_precision(100.0, 2.0) == pytest.approx(
-            time_to_precision(100.0, 1.0) / 4.0, rel=1e-12
-        )
+        # T = eta^2, so doubling the contrast quarters it
+        def time(c_factor):
+            return sensitivity_report(c_factor, 1.8e-3, 1e11).T_to_1rad
+
+        assert time(0.1) == pytest.approx(time(0.05) / 4.0, rel=1e-12)
 
     def test_millirad_ensemble(self):
-        assert time_to_precision(2.1e-3, 1e-3) == pytest.approx(4.41, rel=1e-6)
+        # (eta_ensemble/1 mrad)^2: the ensemble pins a milliradian in seconds
+        report = sensitivity_report(0.05, 1.8e-3, 1e11)
+        t_mrad = report.T_to_1rad / report.N / 1e-6
+        assert t_mrad == pytest.approx((report.eta_ensemble / 1e-3) ** 2, rel=1e-12)
+        assert t_mrad == pytest.approx(4.444, rel=1e-3)
 
 
 class TestSensitivityReport:
