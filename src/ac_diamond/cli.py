@@ -9,6 +9,7 @@ invalid operation), 1 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import numbers
@@ -159,12 +160,15 @@ def _holonomy_ladder(max_steps: int) -> list[int]:
 
 
 def _cmd_holonomy(args) -> int:
-    import numpy as np
+    cfg = _load(args)
+    guard = contextlib.nullcontext()
+    if cfg.tilt:  # a planar disk's propagator is computed without numpy
+        import numpy as np
 
-    # a float overflow, 0/0 or x/0 is a numeric precondition violation
-    # (exit 3), not a warning printed before inf/NaN output
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        cfg = _load(args)
+        # a float overflow, 0/0 or x/0 is a numeric precondition violation
+        # (exit 3), not a warning printed before inf/NaN output
+        guard = np.errstate(over="raise", divide="raise", invalid="raise")
+    with guard:
         params = _nv_params(cfg)
         field = lazy.FieldConfig(magnitude=cfg.E0)
         planar = lazy.station_trajectory(cfg.r, cfg.f, tilt=0.0)
@@ -180,19 +184,18 @@ def _cmd_holonomy(args) -> int:
             fwd = lazy.path_ordered_propagator(
                 lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field), params
             )
-            # planar steps commute, so the reverse-ordered product is fwd bit for bit
-            rev = fwd if tilted is planar else lazy.path_ordered_propagator(
-                lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field), params, reverse=True
-            )
-            worst_unitarity = max(worst_unitarity, prop.defect, fwd.defect)
-            rows.append(
-                (
-                    steps,
-                    abs(prop.abelian_phase() - exact),
-                    prop.offdiagonal_norm(),
-                    float(np.linalg.norm(fwd.U - rev.U, 2)),
+            # planar steps commute, so the reverse-ordered product is fwd bit
+            # for bit and the path dependence exactly 0
+            path_dep = 0.0
+            if tilted is not planar:
+                rev = lazy.path_ordered_propagator(
+                    lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field), params,
+                    reverse=True,
                 )
-            )
+                path_dep = float(np.linalg.norm(fwd.U - rev.U, 2))
+            worst_unitarity = max(worst_unitarity, prop.defect, fwd.defect)
+            rows.append((steps, abs(prop.abelian_phase() - exact), prop.offdiagonal_norm(),
+                         path_dep))
         print(f"planar segment phase (analytic): {exact:.9f} rad")
         print(f"worst unitarity defect: {worst_unitarity:.3e}")
         print(f"tilt used for path-dependence column: {cfg.tilt:g} rad")

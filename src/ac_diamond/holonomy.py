@@ -25,9 +25,11 @@ of ``_CHUNK_STEPS`` steps, so memory does not grow with the step count, and it
 chooses its path once, from the disk tilt.  The field lies along x, so the
 coupling axis k*(E x v) is k*E*(0, -v_z, v_y).  For an untilted disk (or a
 zero field) it lies exactly along z, G = a_z*Sz, and the stepper sums the
-midpoint rates a_z without exponentiating or multiplying matrices; the forward
-and reverse products are therefore bitwise equal.  A tilted disk's steps are
-closed-form spin-1 rotations, multiplied out from the first block on.
+midpoint rates a_z in Python floats, with no numpy, matrix exponential or
+matrix product; the forward and reverse products are therefore bitwise equal.
+A tilted disk's steps are closed-form spin-1 rotations, multiplied out from the
+first block on.  numpy is imported by the functions that use it, so a planar
+propagator runs without it.
 
 Basis convention used throughout the package: the probe is the spin-1 NV
 ground triplet, and amplitude vectors and operator matrices are indexed by
@@ -37,12 +39,12 @@ the {|0>, |1>} subspace (indices 1 and 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+import cmath
+import math
+from dataclasses import dataclass
 
 from .errors import NumericPreconditionError
-from .geometry import DiskTrajectory, FieldConfig, velocity
+from .geometry import STATION_A_ANGLE, DiskTrajectory, FieldConfig, velocity
 from .phase import coupling_constant
 from .physics import C_LIGHT, HBAR, MU_B, TWO_PI, NVParameters
 
@@ -56,6 +58,8 @@ def spin_operators() -> np.ndarray:
     Built from the raising operator in the Sz eigenbasis ordered by ascending m,
     so Sz = diag(-1, 0, 1).
     """
+    import numpy as np
+
     sz = np.diag([-1.0, 0.0, 1.0]).astype(complex)
     # (S+)_{m+1,m} = sqrt(s(s+1) - m(m+1)) = sqrt(2) for s = 1, m = -1, 0
     raising = np.zeros((3, 3), dtype=complex)
@@ -72,6 +76,8 @@ class SpinState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (3,):
             raise ValueError("amplitudes must be a complex vector of length 3")
@@ -83,17 +89,19 @@ class SpinState:
     @classmethod
     def ground(cls) -> "SpinState":
         """The optically pumped |0> state of the spin-1 ground triplet."""
-        return cls(np.array([0.0, 1.0, 0.0], dtype=complex))
+        return cls([0.0, 1.0, 0.0])
 
     def population(self, m: int) -> float:
         """Population of the Sz eigenstate with magnetic quantum number m."""
         idx = {-1: 0, 0: 1, 1: 2}[m]
-        return float(np.abs(self.amplitudes[idx]) ** 2)
+        return float(abs(self.amplitudes[idx]) ** 2)
 
 
 def rotation_matrix(theta: float, phi: float) -> np.ndarray:
     """2x2 unitary of the Rabi rotation by angle theta about the equatorial
     axis set by phase phi, on the (|0>, |1>) pair."""
+    import numpy as np
+
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
     return np.array(
@@ -133,39 +141,63 @@ class PathSampling:
 
     def midpoints(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Midpoints of steps start..stop-1 (default: all steps)."""
+        import numpy as np
+
         stop = self.steps if stop is None else stop
         return self.t_start + (np.arange(start, stop) + 0.5) * self.dt
 
 
-@dataclass(frozen=True)
 class Propagator:
     """Unitary result of the path-ordered integration, with its unitarity
-    defect (:func:`unitarity_defect`, below 1e-10)."""
+    defect, below 1e-10.
 
-    U: np.ndarray
-    defect: float = field(init=False)
+    A product is given either as its matrix ``U``, whose defect is
+    :func:`unitarity_defect`, or, when it is diagonal (planar motion), as
+    ``diagonal``, three Python complex numbers z, whose defect is
+    max|conj(z)*z - 1|.  A diagonal propagator's phase, defect and
+    off-diagonal norm need no numpy; its matrix is built when ``U`` is read.
+    """
 
-    def __post_init__(self):
-        defect = unitarity_defect(self.U)
-        if defect >= 1e-10:
-            raise ValueError("propagator is not unitary to 1e-10")
-        object.__setattr__(self, "defect", defect)
+    def __init__(self, U=None, *, diagonal=None):
+        if diagonal is None:
+            defect = unitarity_defect(U)
+        else:
+            # the largest |conj(z)*z - 1|, or NaN if there is one, as np.max reports it
+            defects = [abs(z.conjugate() * z - 1.0) for z in diagonal]
+            defect = math.nan if any(map(math.isnan, defects)) else max(defects)
+        if not defect < 1e-10:  # also refuses a NaN defect
+            raise NumericPreconditionError("propagator is not unitary to 1e-10")
+        self._matrix, self.diagonal, self.defect = U, diagonal, defect
+
+    @property
+    def U(self) -> np.ndarray:
+        if self._matrix is None:
+            import numpy as np
+
+            self._matrix = np.diag(self.diagonal)
+        return self._matrix
 
     def abelian_phase(self) -> float:
         """Phi such that <+1|U|+1> = exp(-i*Phi) (planar case)."""
-        return float(-np.angle(self.U[2, 2]))
+        return -cmath.phase(self.diagonal[2] if self.diagonal else complex(self.U[2, 2]))
 
     def offdiagonal_norm(self) -> float:
+        if self.diagonal is not None:
+            return 0.0
+        import numpy as np
+
         off = self.U - np.diag(np.diag(self.U))
         return float(np.max(np.abs(off)))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry norm of U^dag U - I."""
+    import numpy as np
+
     return float(np.max(np.abs(u.conj().T @ u - np.eye(3))))
 
 
-def _quadratic_diagonal_shift(magnitude, params, mass) -> np.ndarray:
+def _quadratic_diagonal_shift(magnitude, params, mass) -> tuple[float, float, float]:
     """Diagonal of (mu^2 E^2 - (mu S x E)^2)/(2 m c^4 hbar) in rad/s, mu = g*mu_B,
     for the field E = (magnitude, 0, 0).
 
@@ -176,7 +208,7 @@ def _quadratic_diagonal_shift(magnitude, params, mass) -> np.ndarray:
     """
     mu_e = params.g * MU_B * magnitude
     shift = -0.5 * mu_e * mu_e / (2.0 * mass * C_LIGHT**4 * HBAR)
-    return np.array([shift, 0.0, shift])
+    return (shift, 0.0, shift)
 
 
 def _coupling_axes(
@@ -187,22 +219,23 @@ def _coupling_axes(
 ) -> np.ndarray:
     """Coupling axes k*(E x v) = k*E*(0, -v_z, v_y) [rad/s] at the midpoints of
     steps start..stop-1 (default: all) as an (N, 3) array, so that G = axes . S."""
+    import numpy as np
+
     v = velocity(sampling.trajectory, sampling.midpoints(start, stop))
     e_cross_v = np.zeros_like(v)
     e_cross_v[:, 1] = -v[:, 2]
     e_cross_v[:, 2] = v[:, 1]
-    return _times_coupling(e_cross_v, sampling, params)
-
-
-def _times_coupling(components, sampling, params) -> np.ndarray:
-    """k*(E*components) [rad/s]; refuses a result that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = coupling_constant(params) * (sampling.field.magnitude * components)
-    if not np.all(np.isfinite(scaled)):
+        axes = coupling_constant(params) * (sampling.field.magnitude * e_cross_v)
+    _check_finite_axes(np.all(np.isfinite(axes)))
+    return axes
+
+
+def _check_finite_axes(finite: bool) -> None:
+    if not finite:
         raise NumericPreconditionError(
             "coupling axis k*(E x v) is not finite: field or velocity too large"
         )
-    return scaled
 
 
 def _check_step_bound(step_phase: float) -> None:
@@ -223,6 +256,8 @@ def _step_exponentials(axes: np.ndarray, dt: float, const_diag: np.ndarray) -> n
     that is dt*||G||_2 exactly (||a.S||_2 = |a|), else an upper bound on
     dt*||a.S + C||_2.  Only the echo oracle passes a nonzero C.
     """
+    import numpy as np
+
     norm = np.linalg.norm(axes, axis=1)
     _check_step_bound(dt * (float(np.max(norm)) + float(np.max(np.abs(const_diag)))))
     k = np.tensordot(axes / np.where(norm > 0.0, norm, 1.0)[:, None], spin_operators(), axes=1)
@@ -234,6 +269,8 @@ def _step_exponentials(axes: np.ndarray, dt: float, const_diag: np.ndarray) -> n
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
     """Product mats[-1] @ ... @ mats[0] by pairwise tree reduction."""
+    import numpy as np
+
     while mats.shape[0] > 1:
         pairs = mats.shape[0] // 2
         head = np.matmul(mats[1 : 2 * pairs : 2], mats[0 : 2 * pairs : 2])
@@ -247,9 +284,9 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 def _stream_product(
     sampling: PathSampling,
     params: NVParameters,
-    const_diag: np.ndarray,
+    const_diag: tuple[float, float, float],
     reverse: bool,
-) -> np.ndarray:
+) -> Propagator:
     """Ordered product of the midpoint step exponentials of G(t) + diag(const_diag),
     walked in blocks of ``_CHUNK_STEPS`` steps.
 
@@ -257,8 +294,9 @@ def _stream_product(
     z, so every G is a_z*Sz (``spin_operators`` keeps Sx and Sy zero on the
     diagonal), the steps commute, and their product collapses exactly to one
     exponential of the summed phases m*sum(a_z)*dt, m = (-1, 0, 1); this sums
-    the midpoint rates alone, keeps the result diagonal and at unit modulus,
-    and exponentiates the constant diagonal rates exactly at any step size.
+    the midpoint rates alone (``math.fsum``, in Python floats), keeps the
+    result diagonal and at unit modulus, and exponentiates the constant
+    diagonal rates exactly at any step size.
     A tilted disk's steps (:func:`_step_exponentials`, the constant diagonal
     split around each rotation) are folded block by block into a running
     product, in path order or (``reverse``) anti-path order.
@@ -269,17 +307,33 @@ def _stream_product(
         for start in range(0, sampling.steps, _CHUNK_STEPS)
     ]
     if sampling.trajectory.tilt == 0.0 or sampling.field.magnitude == 0.0:
-        m = np.array([-1.0, 0.0, 1.0])
-        rate_z = 0.0
+        # k*(E*v_y), v_y = 2*pi*f*r*cos(theta) as geometry.velocity computes
+        # it: the midpoint rate ac_diamond.phase.phase_rate defines; local
+        # names keep the lookups in the per-step loop cheap
+        traj, t0, cos, angle0 = sampling.trajectory, sampling.t_start, math.cos, STATION_A_ANGLE
+        omega = TWO_PI * traj.frequency
+        speed, k, e = omega * traj.radius, coupling_constant(params), sampling.field.magnitude
+        block_sums = []
         for start, stop in blocks:
-            # k*(v_y*E): the midpoint rate ac_diamond.phase.phase_rate defines
-            v = velocity(sampling.trajectory, sampling.midpoints(start, stop))
-            a_z = _times_coupling(v[:, 1], sampling, params)
+            try:
+                a_z = [k * (e * (speed * cos(angle0 + omega * (t0 + (n + 0.5) * dt))))
+                       for n in range(start, stop)]
+            except ValueError:  # math.cos of an infinite angle, where numpy gives NaN
+                a_z = [math.nan]
+            # a finite plain sum has only finite terms
+            _check_finite_axes(math.isfinite(sum(a_z)) or all(map(math.isfinite, a_z)))
             # ||a_z*Sz||_2 = |a_z|*max|m| = |a_z|
-            _check_step_bound(dt * float(np.max(np.abs(a_z))))
-            rate_z += a_z.sum()
+            _check_step_bound(dt * max(max(a_z), -min(a_z)))
+            block_sums.append(math.fsum(a_z))
+        rate_z = math.fsum(block_sums)  # OverflowError if the sum is too large for a float
         span = sampling.t_end - sampling.t_start
-        return np.diag(np.exp(-1j * (dt * (m * rate_z) + const_diag * span)))
+        return Propagator(diagonal=tuple(
+            cmath.exp(-1j * (dt * (m * rate_z) + c * span))
+            for m, c in zip((-1.0, 0.0, 1.0), const_diag)
+        ))
+    import numpy as np
+
+    const_diag = np.array(const_diag)
     product = np.eye(3, dtype=complex)
     for start, stop in blocks:
         steps = _step_exponentials(_coupling_axes(sampling, params, start, stop), dt, const_diag)
@@ -287,7 +341,7 @@ def _stream_product(
             product = product @ _ordered_product(steps[::-1])
         else:
             product = _ordered_product(steps) @ product
-    return product
+    return Propagator(U=product)
 
 
 def path_ordered_propagator(
@@ -307,12 +361,11 @@ def path_ordered_propagator(
     In the rotating frame, ``detuning_hz`` adds a residual precession of |1>
     against |0>, and ``quadratic_mass`` the quadratic-in-E level shifts.
     """
-    const_diag = np.array([0.0, 0.0, TWO_PI * detuning_hz])
+    const_diag = (0.0, 0.0, TWO_PI * detuning_hz)
     if quadratic_mass is not None:
-        const_diag = const_diag + _quadratic_diagonal_shift(
-            sampling.field.magnitude, params, quadratic_mass
-        )
-    return Propagator(U=_stream_product(sampling, params, const_diag, reverse))
+        shift = _quadratic_diagonal_shift(sampling.field.magnitude, params, quadratic_mass)
+        const_diag = tuple(c + s for c, s in zip(const_diag, shift))
+    return _stream_product(sampling, params, const_diag, reverse)
 
 
 def dyson_second_order(
@@ -328,6 +381,8 @@ def dyson_second_order(
     [a.S, b.S] = i*(a x b).S, the midpoint sum is
     (i/2)*dt^2*(sum_n a_n x sum_{m<n} a_m).S on the coupling axes a_n.
     """
+    import numpy as np
+
     axes = _coupling_axes(sampling, params)
     dt = sampling.dt
     # ||a.S||_2 = |a| for spin 1

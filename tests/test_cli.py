@@ -136,14 +136,25 @@ class TestHolonomy:
             assert float(row[3]) == float(np.linalg.norm(fwd.U - rev.U, 2))
             assert float(row[3]) > 0.0
 
-    def test_float_overflow_exits_3(self, monkeypatch, capsys):
-        # the handler runs under np.errstate, so an overflow raises, not warns
+    def test_float_overflow_exits_3(self, monkeypatch, capsys, tmp_path):
+        # a tilted run is under np.errstate, so a numpy overflow raises, not warns
         def overflowing(*args, **kwargs):
             return np.float64(1e308) * 10.0
 
+        cfg = tmp_path / "tilted.cfg"
+        cfg.write_text(Path(PHI10_CFG).read_text() + "tilt = 0.3\n")
         monkeypatch.setattr(cli, "segment_phase", overflowing)
-        assert main(["holonomy", "--config", PHI10_CFG, "--steps", "16"]) == 3
+        assert main(["holonomy", "--config", str(cfg), "--steps", "16"]) == 3
         assert "overflow encountered" in capsys.readouterr().err
+
+    def test_planar_sum_overflow_exits_3(self, tmp_path, capsys):
+        # g = 2e6 makes each midpoint rate about 6e304 rad/s, finite and within
+        # the step bound at 8192 steps, yet their sum overflows a Python float
+        cfg = tmp_path / "huge-g.cfg"
+        cfg.write_text("g = 2e6\nr = 1e-10\nf = 1e301\nE0 = 5.13e12\nn = 1\n")
+        assert main(["holonomy", "--config", str(cfg), "--steps", "131072"]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric precondition violated: intermediate overflow in fsum\n"
 
     def test_step_precondition_exit_code(self, capsys):
         assert main(["holonomy", "--steps", "1"]) == 3

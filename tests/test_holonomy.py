@@ -1,10 +1,13 @@
 """Tests for the path-ordered propagator, Dyson diagnostics, and the state step
 of the echo oracle."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ac_diamond import holonomy
 from ac_diamond.errors import NumericPreconditionError
@@ -61,6 +64,24 @@ def _exp_hermitian(h, t=1.0):
     eigendecomposition: the independent reference for the closed-form steps."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * t * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+
+
+def numpy_planar_product(samp, detuning_hz):
+    """The planar diagonal propagator in numpy: geometry.velocity's y
+    component at the midpoints, k*(E*v_y), summed per block with ndarray.sum,
+    and one np.exp of the summed phases; with the size of those phases,
+    dt*sum|a_z| + |2*pi*detuning_hz|*span, which sets their rounding."""
+    rate = magnitude = 0.0
+    for start in range(0, samp.steps, _CHUNK_STEPS):
+        stop = min(start + _CHUNK_STEPS, samp.steps)
+        v_y = velocity(samp.trajectory, samp.midpoints(start, stop))[:, 1]
+        a_z = coupling_constant(PARAMS) * (samp.field.magnitude * v_y)
+        rate += a_z.sum()
+        magnitude += np.abs(a_z).sum()
+    span = samp.t_end - samp.t_start
+    const = np.array([0.0, 0.0, 2.0 * np.pi * detuning_hz])
+    phases = samp.dt * (np.array([-1.0, 0.0, 1.0]) * rate) + const * span
+    return np.diag(np.exp(-1j * phases)), samp.dt * magnitude + abs(const[2]) * span
 
 
 def effective_hamiltonian_evolve(samp, initial, **constant_diagonal):
@@ -167,6 +188,12 @@ class TestPathOrderedPropagator:
         with pytest.raises(NumericPreconditionError):
             path_ordered_propagator(sampling(16, traj=huge), PARAMS)
 
+    def test_infinite_midpoint_angle_rejected(self):
+        # 2*pi*f*t overflows, so math.cos refuses the angle, which is
+        # reported as the non-finite coupling axis numpy's NaN gave
+        with pytest.raises(NumericPreconditionError, match="coupling axis .* not finite"):
+            path_ordered_propagator(sampling(16, t1=1e308), PARAMS)
+
     def test_second_order_convergence(self):
         exact = segment_phase(0.0, HALF, PLANAR, FIELD, PARAMS)
 
@@ -181,7 +208,12 @@ class TestPathOrderedPropagator:
     def test_unitarity(self, tilt):
         traj = station_trajectory(RADIUS, FREQ, tilt=tilt)
         prop = path_ordered_propagator(sampling(5000, traj=traj), PARAMS)
-        assert prop.defect == unitarity_defect(prop.U) < 1e-10
+        if tilt == 0.0:
+            # the diagonal's max|conj(z)*z - 1| is not bitwise numpy's U^dag U - I,
+            # which leaves an imaginary residue of about 1e-17
+            assert prop.defect < 1e-15 and unitarity_defect(prop.U) < 1e-15
+        else:
+            assert prop.defect == unitarity_defect(prop.U) < 1e-10
 
     def test_abelian_reduction_offdiagonal(self):
         prop = path_ordered_propagator(sampling(20000), PARAMS)
@@ -223,6 +255,19 @@ class TestPathOrderedPropagator:
     def test_nonunitary_matrix_rejected(self):
         with pytest.raises(ValueError):
             Propagator(U=np.diag([1.0, 1.0, 2.0]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "given",
+        [{"U": np.diag([1.0, 1.0, 2.0]).astype(complex)},
+         {"U": np.diag([1.0, 1.0, np.nan]).astype(complex)},
+         {"diagonal": [1.0 + 0j, 1.0 + 0j, 2.0 + 0j]},
+         {"diagonal": [1.0 + 0j, 1.0 + 0j, complex("nan")]}],
+        ids=["matrix", "nan-matrix", "diagonal", "nan-diagonal"],
+    )
+    def test_nonunitary_propagator_is_a_precondition_error(self, given):
+        # so that the CLI exits 3 on it
+        with pytest.raises(NumericPreconditionError, match="not unitary"):
+            Propagator(**given)
 
 
 class TestStreamingStepper:
@@ -272,24 +317,52 @@ class TestStreamingStepper:
     )
     def test_planar_axes_path_equals_generator_stack_bitwise(self, steps):
         # the diagonal product from the whole-grid (N, 3, 3) generator
-        # stack, its rates summed in the stepper's blocks
+        # stack, its rates summed with math.fsum in the stepper's blocks
         samp = sampling(steps, t1=0.6 / FREQ, field=scaled_field(PLANAR))
         gens, dt = generators(samp), samp.dt
         assert not np.any(gens - np.einsum("nii->ni", gens)[:, :, None] * np.eye(3))
-        rates = np.ascontiguousarray(np.einsum("nii->in", gens).real)
+        rates = np.einsum("nii->in", gens).real.tolist()
         summed = np.zeros(3)
         for start in range(0, steps, _CHUNK_STEPS):
-            summed += rates[:, start : start + _CHUNK_STEPS].sum(axis=1)
+            summed += [math.fsum(rate[start : start + _CHUNK_STEPS]) for rate in rates]
 
         def reference(const_diag):
             span = samp.t_end - samp.t_start
             return np.diag(np.exp(-1j * (dt * summed + const_diag * span)))
 
+        # equal bit for bit where numpy's cos and exp round as math.cos and
+        # cmath.exp do, which another CPU's numpy need not
         prop = path_ordered_propagator(samp, PARAMS)
-        assert np.array_equal(prop.U, reference(np.zeros(3)))
+        assert np.max(np.abs(prop.U - reference(np.zeros(3)))) <= 1e-15
 
         detuned = path_ordered_propagator(samp, PARAMS, detuning_hz=1e5)
-        assert np.array_equal(detuned.U, reference(np.array([0.0, 0.0, 2.0 * np.pi * 1e5])))
+        detuned_ref = reference(np.array([0.0, 0.0, 2.0 * np.pi * 1e5]))
+        assert np.max(np.abs(detuned.U - detuned_ref)) <= 1e-15
+
+    @pytest.mark.parametrize("detuning_hz", [0.0, 1e5])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        radius=st.floats(1e-3, 1.0),
+        frequency=st.floats(10.0, 1e5),
+        sense=st.sampled_from([1.0, -1.0]),
+        start_turns=st.floats(0.0, 10.0),
+        turns=st.floats(0.01, 3.0),
+        steps=st.integers(1, 2 * _CHUNK_STEPS + 3),
+        step_phase=st.floats(0.0, 0.45),
+    )
+    def test_planar_floats_match_the_numpy_product(
+        self, detuning_hz, radius, frequency, sense, start_turns, turns, steps, step_phase
+    ):
+        # the field sets dt*max|a_z| to at most step_phase, under MAX_STEP_PHASE
+        traj = station_trajectory(radius, sense * frequency)
+        speed = 2.0 * np.pi * frequency * radius
+        t0, span = start_turns / frequency, turns / frequency
+        field = FieldConfig(step_phase / ((span / steps) * coupling_constant(PARAMS) * speed))
+        samp = sampling(steps, t0=t0, t1=t0 + span, traj=traj, field=field)
+        want, phase_scale = numpy_planar_product(samp, detuning_hz)
+        got = path_ordered_propagator(samp, PARAMS, detuning_hz=detuning_hz).U
+        # within rounding of the summed phases
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, phase_scale)
 
     def test_constant_diagonal_joins_every_tilted_step(self):
         # the detuning and the quadratic level shifts are split in halves

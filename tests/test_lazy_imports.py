@@ -1,5 +1,5 @@
-"""Only ``holonomy`` loads numpy, and the subcommands' names in
-``ac_diamond.cli`` are imported lazily yet stay patchable."""
+"""Only ``holonomy`` on a tilted disk loads numpy, and the subcommands'
+names in ``ac_diamond.cli`` are imported lazily yet stay patchable."""
 
 import ast
 import importlib.util
@@ -16,6 +16,7 @@ from ac_diamond import cli, holonomy, measurement, sequence
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CFG = str(ROOT / "configs" / "default.cfg")
 PHI10_CFG = str(ROOT / "configs" / "phi10.cfg")
+TILTED_CFG = ROOT / "tests" / "golden" / "tilted.cfg"
 
 # Runs the CLI as ``python -m ac_diamond.cli`` does, then reports its exit code,
 # whether numpy was loaded and which of the closed-form engine's modules and
@@ -61,8 +62,14 @@ PROBES = {
     # no holonomy; a mean count beyond the Poisson sampler's range is refused
     "montecarlo": (["montecarlo"], PHI10_TEXT, "0", False, ENGINE),
     "montecarlo-huge-counts": (["montecarlo"], "alpha0 = 1e30\nn = 2\n", "3", False, ENGINE),
-    # no sequence
-    "holonomy": (["holonomy"], PHI10_TEXT, "0", True, "geometry,phase,holonomy"),
+    # no sequence; a planar disk's propagator is diagonal, in Python floats
+    "holonomy": (["holonomy"], PHI10_TEXT, "0", False, "geometry,phase,holonomy"),
+    # refused: E*v_y overflows
+    "holonomy-huge-radius": (["holonomy", "--steps", "16"], "r = 1e300\nn = 1\n", "3", False,
+                             "geometry,phase,holonomy"),
+    # a tilted disk's steps are numpy matrices
+    "holonomy-tilted": (["holonomy", "--steps", "2000"], TILTED_CFG.read_text(), "0", True,
+                        "geometry,phase,holonomy"),
 }
 NUMPY_SUBCOMMANDS = {argv[0] for argv, _, _, numpy, _ in PROBES.values() if numpy}
 
