@@ -20,16 +20,16 @@ propagator exactly and show nothing.
 
 One stepper, :func:`_stream_product`, builds every propagator, and the state
 oracle (:func:`ac_diamond.sequence.simulate_run` in oracle mode) steps its
-state with those propagators.  The stepper walks the midpoint grid in blocks
-of ``_CHUNK_STEPS`` steps, so memory does not grow with the step count, and it
-chooses its path once, from the disk tilt.  The field lies along x, so the
-coupling axis k*(E x v) is k*E*(0, -v_z, v_y).  For an untilted disk (or a
-zero field) it lies exactly along z, G = a_z*Sz, and the stepper sums the
-midpoint rates a_z in Python floats, with no numpy, matrix exponential or
-matrix product; the forward and reverse products are therefore bitwise equal.
-A tilted disk's steps are closed-form spin-1 rotations, multiplied out from the
-first block on.  numpy is imported by the functions that use it, so a planar
-propagator runs without it.
+state with those propagators.  It chooses its path once, from the disk tilt.
+The field lies along x, so the coupling axis k*(E x v) is k*E*(0, -v_z, v_y).
+For an untilted disk (or a zero field) it lies exactly along z, G = a_z*Sz,
+and the stepper sums the midpoint rates a_z in closed form, in Python floats
+on exactly reduced angles, with no numpy, per-step loop, matrix exponential
+or matrix product; the forward and reverse products are therefore bitwise
+equal, and the cost does not grow with the step count.  A tilted disk's steps
+are closed-form spin-1 rotations, built and multiplied out in blocks of
+``_CHUNK_STEPS`` steps, so memory does not grow with the step count.  numpy is
+imported by the functions that use it, so a planar propagator runs without it.
 
 Basis convention used throughout the package: the probe is the spin-1 NV
 ground triplet, and amplitude vectors and operator matrices are indexed by
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NumericPreconditionError
@@ -49,7 +50,7 @@ from .phase import coupling_constant
 from .physics import C_LIGHT, HBAR, MU_B, TWO_PI, NVParameters
 
 MAX_STEP_PHASE = 0.5  # rad; per-step rotation bound for the midpoint exponential
-_CHUNK_STEPS = 8192  # steps per streamed block; bounds the live (steps, 3, 3) stacks
+_CHUNK_STEPS = 8192  # tilted steps per streamed block; bounds the live (steps, 3, 3) stacks
 
 
 def spin_operators() -> np.ndarray:
@@ -281,51 +282,104 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
+def _sin_cos(num: int, den: int) -> tuple[float, float]:
+    """sin and cos of the exact angle num/den rad (den > 0).
+
+    The angle is reduced in integers by its nearest multiple q of pi/2, and
+    the remainder rounded once to a float, so both keep their full relative
+    precision near their zeros; the 60-digit 2*pi holds the remainder to
+    about q*1e-60 rad.
+    """
+    # pi/2 as a ratio of ints: 2*pi to 60 digits, over 4
+    pi_num, pi_den = 628318530717958647692528676655900576839433879875021164194989, 4 * 10**59
+    q = (2 * num * pi_den + den * pi_num) // (2 * den * pi_num)  # nearest to num/den/(pi/2)
+    r = (num * pi_den - q * pi_num * den) / (den * pi_den)  # int / int rounds once
+    sin_r, cos_r = math.sin(r), math.cos(r)
+    return ((sin_r, cos_r), (cos_r, -sin_r), (-sin_r, -cos_r), (-cos_r, sin_r))[q % 4]
+
+
+def _planar_rate_sum(sampling: PathSampling, params: NVParameters) -> float:
+    """Sum of the midpoint rates a_n = k*(E*v_y) of an untilted disk, with
+    v_y = 2*pi*f*r*cos(theta_n) as geometry.velocity computes it, after the
+    finite check and the step gate on every a_n.
+
+    The angles theta_n = alpha + (n + 1/2)*h, alpha = STATION_A_ANGLE + omega*t0,
+    h = omega*dt, are equally spaced, so Lagrange's identity sums the cosines:
+    sum_n cos(theta_n) = sin(N*h/2)/sin(h/2)*cos(alpha + N*h/2).  Its three
+    angles are formed exactly from the float inputs and reduced in integers
+    (:func:`_sin_cos`).  |a_n| is largest at an end of the span or next to a
+    turning angle m*pi, so the gate evaluates a_n as the rate expression
+    rounds it at n = 0, N - 1 and n* - 1, n*, n* + 1 around each turning
+    angle, or at every n when those are as many.
+    """
+    traj, t0, dt, steps = sampling.trajectory, sampling.t_start, sampling.dt, sampling.steps
+    omega = TWO_PI * traj.frequency
+    speed, k, e = omega * traj.radius, coupling_constant(params), sampling.field.magnitude
+
+    def angle(n):
+        return STATION_A_ANGLE + omega * (t0 + (n + 0.5) * dt)
+
+    def rate(n):
+        try:
+            return k * (e * (speed * math.cos(angle(n))))
+        except ValueError:  # math.cos of an infinite angle, where numpy gives NaN
+            return math.nan
+
+    lo, hi = sorted((angle(0), angle(steps - 1)))
+    _check_finite_axes(math.isfinite(lo) and math.isfinite(hi))
+    first_turn, last_turn = math.floor(lo / math.pi), math.ceil(hi / math.pi)
+    if 3 * (last_turn - first_turn + 1) + 2 >= steps:
+        near = range(steps)
+    else:
+        alpha, h = STATION_A_ANGLE + omega * t0, omega * dt
+        near = {0, steps - 1}
+        for m in range(first_turn, last_turn + 1) if h else ():  # h = 0: one angle
+            n = round(min(max((m * math.pi - alpha) / h - 0.5, 0.0), steps - 1.0))
+            near.update(range(max(n - 1, 0), min(n + 2, steps)))
+    rates = [rate(n) for n in near]
+    _check_finite_axes(all(map(math.isfinite, rates)))
+    # ||a_z*Sz||_2 = |a_z|*max|m| = |a_z|
+    _check_step_bound(dt * max(map(abs, rates)))
+
+    w, d, t, a = (x.as_integer_ratio() for x in (omega, dt, t0, STATION_A_ANGLE))
+    half = (w[0] * d[0], 2 * w[1] * d[1])  # omega*dt/2
+    mid_time = (2 * t[0] * d[1] + steps * d[0] * t[1], 2 * t[1] * d[1])  # t0 + N*dt/2
+    mid = (a[0] * w[1] * mid_time[1] + a[1] * w[0] * mid_time[0], a[1] * w[1] * mid_time[1])
+    sin_half = _sin_cos(*half)[0]
+    # below the normal range h/2 is ~0, and so is N*h/2: the ratio rounds to N
+    ratio = (_sin_cos(steps * half[0], half[1])[0] / sin_half
+             if abs(sin_half) >= sys.float_info.min else float(steps))
+    # the ratio last: the rate at the mid-span angle is finite, as every a_n is
+    rate_sum = k * (e * (speed * _sin_cos(*mid)[1])) * ratio
+    if not math.isfinite(rate_sum):
+        raise NumericPreconditionError("sum of the midpoint rates k*E*v_y overflows a float")
+    return rate_sum
+
+
 def _stream_product(
     sampling: PathSampling,
     params: NVParameters,
     const_diag: tuple[float, float, float],
     reverse: bool,
 ) -> Propagator:
-    """Ordered product of the midpoint step exponentials of G(t) + diag(const_diag),
-    walked in blocks of ``_CHUNK_STEPS`` steps.
+    """Ordered product of the midpoint step exponentials of G(t) + diag(const_diag).
 
     An untilted disk (or a zero field) has every coupling axis exactly along
     z, so every G is a_z*Sz (``spin_operators`` keeps Sx and Sy zero on the
     diagonal), the steps commute, and their product collapses exactly to one
-    exponential of the summed phases m*sum(a_z)*dt, m = (-1, 0, 1); this sums
-    the midpoint rates alone (``math.fsum``, in Python floats), keeps the
-    result diagonal and at unit modulus, and exponentiates the constant
-    diagonal rates exactly at any step size.
+    exponential of the summed phases m*sum(a_z)*dt, m = (-1, 0, 1); this takes
+    the midpoint sum in closed form (:func:`_planar_rate_sum`, in Python
+    floats, in time independent of the step count), keeps the result
+    diagonal and at unit modulus, and exponentiates the constant diagonal
+    rates exactly at any step size.
     A tilted disk's steps (:func:`_step_exponentials`, the constant diagonal
-    split around each rotation) are folded block by block into a running
-    product, in path order or (``reverse``) anti-path order.
+    split around each rotation) are built in blocks of ``_CHUNK_STEPS`` steps
+    and folded block by block into a running product, in path order or
+    (``reverse``) anti-path order.
     """
     dt = sampling.dt
-    blocks = [
-        (start, min(start + _CHUNK_STEPS, sampling.steps))
-        for start in range(0, sampling.steps, _CHUNK_STEPS)
-    ]
     if sampling.trajectory.tilt == 0.0 or sampling.field.magnitude == 0.0:
-        # k*(E*v_y), v_y = 2*pi*f*r*cos(theta) as geometry.velocity computes
-        # it: the midpoint rate ac_diamond.phase.phase_rate defines; local
-        # names keep the lookups in the per-step loop cheap
-        traj, t0, cos, angle0 = sampling.trajectory, sampling.t_start, math.cos, STATION_A_ANGLE
-        omega = TWO_PI * traj.frequency
-        speed, k, e = omega * traj.radius, coupling_constant(params), sampling.field.magnitude
-        block_sums = []
-        for start, stop in blocks:
-            try:
-                a_z = [k * (e * (speed * cos(angle0 + omega * (t0 + (n + 0.5) * dt))))
-                       for n in range(start, stop)]
-            except ValueError:  # math.cos of an infinite angle, where numpy gives NaN
-                a_z = [math.nan]
-            # a finite plain sum has only finite terms
-            _check_finite_axes(math.isfinite(sum(a_z)) or all(map(math.isfinite, a_z)))
-            # ||a_z*Sz||_2 = |a_z|*max|m| = |a_z|
-            _check_step_bound(dt * max(max(a_z), -min(a_z)))
-            block_sums.append(math.fsum(a_z))
-        rate_z = math.fsum(block_sums)  # OverflowError if the sum is too large for a float
+        rate_z = _planar_rate_sum(sampling, params)
         span = sampling.t_end - sampling.t_start
         return Propagator(diagonal=tuple(
             cmath.exp(-1j * (dt * (m * rate_z) + c * span))
@@ -335,7 +389,8 @@ def _stream_product(
 
     const_diag = np.array(const_diag)
     product = np.eye(3, dtype=complex)
-    for start, stop in blocks:
+    for start in range(0, sampling.steps, _CHUNK_STEPS):
+        stop = min(start + _CHUNK_STEPS, sampling.steps)
         steps = _step_exponentials(_coupling_axes(sampling, params, start, stop), dt, const_diag)
         if reverse:
             product = product @ _ordered_product(steps[::-1])

@@ -154,7 +154,8 @@ class TestHolonomy:
         cfg.write_text("g = 2e6\nr = 1e-10\nf = 1e301\nE0 = 5.13e12\nn = 1\n")
         assert main(["holonomy", "--config", str(cfg), "--steps", "131072"]) == 3
         err = capsys.readouterr().err
-        assert err == "numeric precondition violated: intermediate overflow in fsum\n"
+        assert err == ("numeric precondition violated: "
+                       "sum of the midpoint rates k*E*v_y overflows a float\n")
 
     def test_step_precondition_exit_code(self, capsys):
         assert main(["holonomy", "--steps", "1"]) == 3

@@ -8,10 +8,10 @@ config path.
 
 The subcommands that compute in Python floats and ``math`` (``montecarlo``
 draws from ``random.Random``; ``holonomy`` sums a planar disk's midpoint
-rates with ``math.fsum``), the help texts and the refusals must match byte
-for byte.  A tilted disk's ``holonomy`` run rests on numpy's vectorised
-functions and matrix products, which may round differently on another CPU or
-numpy version: its text must match and its numbers agree to
+rates in closed form, on angles reduced in integers), the help texts and the
+refusals must match byte for byte.  A tilted disk's ``holonomy`` run rests on
+numpy's vectorised functions and matrix products, which may round differently
+on another CPU or numpy version: its text must match and its numbers agree to
 ``ABS_TOL + REL_TOL*|value|``; its golden file records the numpy version it
 was written with.  The help texts and refusals are argparse's own
 formatting, written under Python 3.11; another Python minor version may wrap

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ac_diamond import holonomy
@@ -66,22 +66,47 @@ def _exp_hermitian(h, t=1.0):
     return (v * np.exp(-1j * t * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
-def numpy_planar_product(samp, detuning_hz):
-    """The planar diagonal propagator in numpy: geometry.velocity's y
-    component at the midpoints, k*(E*v_y), summed per block with ndarray.sum,
-    and one np.exp of the summed phases; with the size of those phases,
+def _two_sum(a, b):
+    """a + b as an unevaluated pair (sum, rounding error), exactly (Knuth)."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
+
+
+def _two_product(a, b):
+    """a * b as an unevaluated pair (product, rounding error), exactly
+    (Dekker, halves split off by Veltkamp's 2**27 + 1)."""
+    def split(x):
+        scaled = 134217729.0 * x
+        high = scaled - (scaled - x)
+        return high, x - high
+
+    product = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    return product, ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def exact_angle_planar_product(samp, detuning_hz):
+    """The planar diagonal propagator from the per-step midpoint rates
+    k*E*v_y, with each angle STATION_A_ANGLE + omega*(t0 + (n + 1/2)*dt)
+    formed in double-double from the same floats, so that only its cosine
+    and the final sum round; with the size of the summed phases,
     dt*sum|a_z| + |2*pi*detuning_hz|*span, which sets their rounding."""
-    rate = magnitude = 0.0
-    for start in range(0, samp.steps, _CHUNK_STEPS):
-        stop = min(start + _CHUNK_STEPS, samp.steps)
-        v_y = velocity(samp.trajectory, samp.midpoints(start, stop))[:, 1]
-        a_z = coupling_constant(PARAMS) * (samp.field.magnitude * v_y)
-        rate += a_z.sum()
-        magnitude += np.abs(a_z).sum()
+    traj = samp.trajectory
+    omega = 2.0 * np.pi * traj.frequency
+    offset, offset_err = _two_product(np.arange(samp.steps) + 0.5, samp.dt)
+    time, time_err = _two_sum(samp.t_start, offset)
+    turned, turned_err = _two_product(omega, time)
+    angle, angle_err = _two_sum(STATION_A_ANGLE, turned)
+    angle_err += turned_err + omega * (time_err + offset_err)
+    # cos(angle + angle_err) to first order: angle_err is below an ulp of angle
+    cos = np.cos(angle) - np.sin(angle) * angle_err
+    amplitude = coupling_constant(PARAMS) * samp.field.magnitude * omega * traj.radius
     span = samp.t_end - samp.t_start
     const = np.array([0.0, 0.0, 2.0 * np.pi * detuning_hz])
-    phases = samp.dt * (np.array([-1.0, 0.0, 1.0]) * rate) + const * span
-    return np.diag(np.exp(-1j * phases)), samp.dt * magnitude + abs(const[2]) * span
+    phases = samp.dt * (np.array([-1.0, 0.0, 1.0]) * (amplitude * math.fsum(cos))) + const * span
+    magnitude = samp.dt * abs(amplitude) * math.fsum(np.abs(cos))
+    return np.diag(np.exp(-1j * phases)), magnitude + abs(const[2]) * span
 
 
 def effective_hamiltonian_evolve(samp, initial, **constant_diagonal):
@@ -317,7 +342,7 @@ class TestStreamingStepper:
     )
     def test_planar_axes_path_equals_generator_stack_bitwise(self, steps):
         # the diagonal product from the whole-grid (N, 3, 3) generator
-        # stack, its rates summed with math.fsum in the stepper's blocks
+        # stack, its rates summed with math.fsum in blocks of _CHUNK_STEPS
         samp = sampling(steps, t1=0.6 / FREQ, field=scaled_field(PLANAR))
         gens, dt = generators(samp), samp.dt
         assert not np.any(gens - np.einsum("nii->ni", gens)[:, :, None] * np.eye(3))
@@ -330,8 +355,8 @@ class TestStreamingStepper:
             span = samp.t_end - samp.t_start
             return np.diag(np.exp(-1j * (dt * summed + const_diag * span)))
 
-        # equal bit for bit where numpy's cos and exp round as math.cos and
-        # cmath.exp do, which another CPU's numpy need not
+        # the stepper's closed-form sum of the same rates agrees to rounding
+        # (within 1.4e-17 on x86-64, where 3 of these 6 step counts are exact)
         prop = path_ordered_propagator(samp, PARAMS)
         assert np.max(np.abs(prop.U - reference(np.zeros(3)))) <= 1e-15
 
@@ -350,6 +375,14 @@ class TestStreamingStepper:
         steps=st.integers(1, 2 * _CHUNK_STEPS + 3),
         step_phase=st.floats(0.0, 0.45),
     )
+    # six turns in, the float midpoint angles round coherently: a per-step
+    # sum of their cosines is 1.26e-14 off the exact-angle one
+    @example(radius=1.0, frequency=10.0, sense=1.0, start_turns=6.0, turns=0.03125,
+             steps=24, step_phase=0.25)
+    # each step just over a whole turn: h/2 lies near pi, not 0, where only
+    # a reduction by multiples of pi keeps sin(h/2) to full relative precision
+    @example(radius=0.1, frequency=123.0, sense=1.0, start_turns=0.7, turns=2.0000001,
+             steps=2, step_phase=0.4)
     def test_planar_floats_match_the_numpy_product(
         self, detuning_hz, radius, frequency, sense, start_turns, turns, steps, step_phase
     ):
@@ -359,10 +392,51 @@ class TestStreamingStepper:
         t0, span = start_turns / frequency, turns / frequency
         field = FieldConfig(step_phase / ((span / steps) * coupling_constant(PARAMS) * speed))
         samp = sampling(steps, t0=t0, t1=t0 + span, traj=traj, field=field)
-        want, phase_scale = numpy_planar_product(samp, detuning_hz)
+        want, phase_scale = exact_angle_planar_product(samp, detuning_hz)
         got = path_ordered_propagator(samp, PARAMS, detuning_hz=detuning_hz).U
         # within rounding of the summed phases
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, phase_scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        radius=st.floats(1e-3, 1.0),
+        frequency=st.floats(10.0, 1e5),
+        sense=st.sampled_from([1.0, -1.0]),
+        start_turns=st.floats(0.0, 10.0),
+        turns=st.floats(0.001, 8.0),
+        steps=st.integers(1, 5000),
+    )
+    def test_planar_step_gate_is_the_max_over_every_step(
+        self, radius, frequency, sense, start_turns, turns, steps
+    ):
+        # the gate evaluates a few steps; its dt*max|a_z| must be the one
+        # over every step's rate k*(E*v_y), v_y = 2*pi*f*r*cos(theta_n), bit for bit
+        traj = station_trajectory(radius, sense * frequency)
+        t0 = start_turns / frequency
+        samp = sampling(steps, t0=t0, t1=t0 + turns / frequency, traj=traj)
+        omega = 2.0 * math.pi * traj.frequency
+        k, e, speed, dt = coupling_constant(PARAMS), FIELD.magnitude, omega * radius, samp.dt
+        rates = [k * (e * (speed * math.cos(STATION_A_ANGLE + omega * (t0 + (n + 0.5) * dt))))
+                 for n in range(steps)]
+        gated = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(holonomy, "_check_step_bound", gated.append)
+            path_ordered_propagator(samp, PARAMS)
+        assert gated == [dt * max(map(abs, rates))]
+
+    @pytest.mark.parametrize("span", [5e-324, 1.6e-20], ids=["zero-step", "subnormal-half-step"])
+    def test_planar_half_step_below_the_float_range(self, span):
+        # a disk that turns by under 1e-320 rad a step: omega*dt/2 rounds to
+        # 0 or to a subnormal, every midpoint angle rounds to STATION_A_ANGLE,
+        # and the 16 rates sum to 16 times that one rate (about 0.06 rad a step)
+        params = NVParameters(g=1.6e11)
+        traj = station_trajectory(1e30, 1e-300)
+        field = FieldConfig(magnitude=1e300)
+        samp = sampling(16, t1=span, traj=traj, field=field)
+        speed = 2.0 * math.pi * traj.frequency * traj.radius
+        rate = coupling_constant(params) * (field.magnitude * (speed * math.cos(STATION_A_ANGLE)))
+        prop = path_ordered_propagator(samp, params)
+        assert prop.abelian_phase() == pytest.approx(samp.dt * (16 * rate), abs=1e-15)
 
     def test_constant_diagonal_joins_every_tilted_step(self):
         # the detuning and the quadratic level shifts are split in halves
