@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from ac_diamond import holonomy
 from ac_diamond.errors import NumericPreconditionError
@@ -55,8 +56,8 @@ def scaled_field(traj, budget=0.1, steps=20001):
 def generators(samp):
     """Midpoint generators G = axes . S of every step, as a (steps, 3, 3) stack."""
     # one complex matrix product, (N, 3) @ (3, 9)
-    gens = _coupling_axes(samp, PARAMS).astype(complex) @ spin_operators().reshape(3, -1)
-    return gens.reshape(-1, 3, 3)
+    axes = _coupling_axes(samp, PARAMS, 0, samp.steps)
+    return (axes.astype(complex) @ spin_operators().reshape(3, -1)).reshape(-1, 3, 3)
 
 
 def _exp_hermitian(h, t=1.0):
@@ -133,9 +134,9 @@ class TestCouplingGenerator:
     def test_axis_is_the_cross_product_with_the_field(self, tilt, sense):
         traj = station_trajectory(RADIUS, sense * FREQ, tilt=tilt)
         samp = sampling(1000, t1=1.0 / FREQ, traj=traj)
-        v = velocity(traj, samp.midpoints())
+        v = velocity(traj, samp.t_start + (np.arange(samp.steps) + 0.5) * samp.dt)
         cross = coupling_constant(PARAMS) * np.cross([FIELD.magnitude, 0.0, 0.0], v)
-        assert np.array_equal(_coupling_axes(samp, PARAMS), cross)
+        assert np.array_equal(_coupling_axes(samp, PARAMS, 0, samp.steps), cross)
 
     def test_zero_field_gives_zero(self):
         gens = generators(sampling(10, field=FieldConfig(magnitude=0.0)))
@@ -552,9 +553,10 @@ class TestQuarterTurnTiltReference:
 
     def test_axis_model_matches_coupling_axes(self):
         samp = sampling(64, t1=self.PERIOD, traj=self.TILT_90)
-        theta = STATION_A_ANGLE + 2.0 * np.pi * FREQ * samp.midpoints()
+        midpoints = samp.t_start + (np.arange(samp.steps) + 0.5) * samp.dt
+        theta = STATION_A_ANGLE + 2.0 * np.pi * FREQ * midpoints
         model = OMEGA * np.stack([np.zeros_like(theta), -np.sin(theta), np.cos(theta)], axis=1)
-        assert np.max(np.abs(_coupling_axes(samp, PARAMS) - model)) < 1e-12 * OMEGA
+        assert np.max(np.abs(_coupling_axes(samp, PARAMS, 0, samp.steps) - model)) < 1e-12 * OMEGA
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     def test_propagator_is_second_order_accurate(self, reverse):
@@ -574,11 +576,9 @@ class TestQuarterTurnTiltReference:
         "call",
         [
             lambda samp: path_ordered_propagator(samp, PARAMS),
-            lambda samp: dyson_second_order(samp, PARAMS),
             lambda samp: effective_hamiltonian_evolve(samp, SpinState.ground()),
         ],
-        ids=["path_ordered_propagator", "dyson_second_order",
-             "effective_hamiltonian_evolve"],
+        ids=["path_ordered_propagator", "effective_hamiltonian_evolve"],
     )
     def test_step_gate_is_the_exact_norm(self, call):
         # 64 steps a rotation: dt*|a| peaks at 0.4995 rad at 2.6e8 V/m and at
@@ -598,7 +598,7 @@ class TestQuarterTurnTiltReference:
 
 def dyson_from_generators(samp):
     """(1/2)*dt^2*sum_n [G_n, sum_{m<n} G_m] from the (steps, 3, 3) generator
-    stack: the reference for the cross-product form on the coupling axes."""
+    stack: the step-based reference for the closed-form Dyson term."""
     gens = generators(samp)
     prior = np.cumsum(gens, axis=0) - gens  # sum of all strictly earlier generators
     forward = np.einsum("nij,njk->ik", gens, prior)
@@ -606,19 +606,85 @@ def dyson_from_generators(samp):
     return 0.5 * samp.dt * samp.dt * (forward - backward)
 
 
+def relative_gap(term, reference):
+    return np.max(np.abs(term - reference)) / np.max(np.abs(reference))
+
+
 class TestDysonSecondOrder:
     @pytest.mark.parametrize("tilt", [0.3, np.pi / 2], ids=["tilt-0.3", "tilt-pi-half"])
     def test_matches_generator_stack_formula(self, tilt):
+        # the step-based sum approaches the closed form at second order in dt:
+        # measured 8.2e-9 relative at 2e4 steps, and 25.00 times that at 1e5
         traj = station_trajectory(RADIUS, FREQ, tilt=tilt)
-        samp = sampling(20000, t1=1.0 / FREQ, traj=traj)
-        expected = dyson_from_generators(samp)
-        # rounding of 2e4 summed terms: measured 1e-15 (0.3) and 1e-14 (pi/2)
-        err = np.max(np.abs(dyson_second_order(samp, PARAMS) - expected))
-        assert err <= 1e-13 * np.max(np.abs(expected))
+
+        def gap(steps):
+            samp = sampling(steps, t1=1.0 / FREQ, traj=traj)
+            return relative_gap(dyson_from_generators(samp), dyson_second_order(samp, PARAMS))
+
+        coarse, fine = gap(20000), gap(100000)
+        assert coarse <= 1e-8
+        assert coarse / fine == pytest.approx(25.0, rel=0.01)
+
+    @pytest.mark.parametrize("span", [(0.1, 0.85), (0.3, 2.7)], ids=["part-turn", "2.4-turns"])
+    @pytest.mark.parametrize("sense", [1.0, -1.0], ids=["ccw", "cw"])
+    def test_matches_generator_stack_on_offset_spans(self, sense, span):
+        # measured at most 5.1e-10 relative at 2e5 steps
+        traj = station_trajectory(RADIUS, sense * FREQ, tilt=0.3)
+        samp = sampling(200000, t0=span[0] / FREQ, t1=span[1] / FREQ, traj=traj)
+        gap = relative_gap(dyson_from_generators(samp), dyson_second_order(samp, PARAMS))
+        assert gap <= 1e-9
+
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize(
+        "delta",
+        [2 * np.pi, -2 * np.pi, 1.5 * np.pi, 4.8 * np.pi, 0.0628, -0.1, 6.3e-7, 6.3e-9],
+    )
+    def test_sin_minus_angle_does_not_cancel(self, delta):
+        # sin(Delta) - Delta is the integral of cos(x) - 1 = -2*sin(x/2)^2 over
+        # [0, Delta]; quadrature of the non-cancelling form is the reference
+        # (measured at most 1.4e-16 relative; the plain difference is 1e-3 off
+        # at 6.3e-7 and returns 0 at 6.3e-9)
+        traj = station_trajectory(RADIUS, math.copysign(FREQ, delta), tilt=0.3)
+        samp = sampling(1, t1=abs(delta) / (2.0 * np.pi * FREQ), traj=traj)
+        angle = 2.0 * np.pi * traj.frequency * samp.t_end
+        integral, _ = quad(lambda x: -2.0 * math.sin(0.5 * x) ** 2, 0.0, angle, epsabs=0.0)
+        k_e_r = coupling_constant(PARAMS) * FIELD.magnitude * RADIUS
+        expected = 0.5j * math.sin(0.3) * k_e_r**2 * integral * spin_operators()[0]
+        assert relative_gap(dyson_second_order(samp, PARAMS), expected) <= 1e-14
 
     def test_planar_term_vanishes(self):
+        # sin(0) is exactly 0, so the closed form is exactly zero
         term = dyson_second_order(sampling(2000), PARAMS)
-        assert np.max(np.abs(term)) < 1e-10
+        assert np.all(term == 0.0)
+
+    @pytest.mark.parametrize(
+        "t1, magnitude, tilt",
+        [(1e308, FIELD.magnitude, 0.3), (HALF, 1e308, 0.3), (HALF, FIELD.magnitude, math.inf)],
+        ids=["span", "field", "tilt"],
+    )
+    def test_non_finite_term_refused(self, t1, magnitude, tilt):
+        # 2*pi*f*1e308 overflows the rotation angle and math.sin(inf) would
+        # raise a bare ValueError; (k*E*r)^2 at 1e308 V/m overflows the coefficient
+        traj = station_trajectory(RADIUS, FREQ, tilt=tilt)
+        samp = sampling(100, t1=t1, traj=traj, field=FieldConfig(magnitude=magnitude))
+        with pytest.raises(NumericPreconditionError, match="not finite"):
+            dyson_second_order(samp, PARAMS)
+
+    def test_cost_is_independent_of_the_step_count(self, monkeypatch):
+        # no coupling axis is built and nothing grows with the step count
+        def refuse(*args, **kwargs):
+            raise AssertionError("coupling axes built for the Dyson term")
+
+        monkeypatch.setattr(holonomy, "_coupling_axes", refuse)
+        dyson_second_order(sampling(1, traj=TILTED), PARAMS)  # imports numpy untraced
+        tracemalloc.start()
+        try:
+            term = dyson_second_order(sampling(10**9, traj=TILTED), PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(term, dyson_second_order(sampling(1, traj=TILTED), PARAMS))
+        assert peak < 1e6
 
     def test_forward_reverse_difference_matches_term(self):
         tilted = station_trajectory(RADIUS, FREQ, tilt=0.2)
