@@ -186,14 +186,14 @@ def _cmd_holonomy(args) -> int:
             )
             # planar steps commute, so the reverse-ordered product is fwd bit
             # for bit and the path dependence exactly 0
-            path_dep = 0.0
+            path_dep, rev = 0.0, fwd
             if tilted is not planar:
                 rev = lazy.path_ordered_propagator(
                     lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field), params,
                     reverse=True,
                 )
                 path_dep = float(np.linalg.norm(fwd.U - rev.U, 2))
-            worst_unitarity = max(worst_unitarity, prop.defect, fwd.defect)
+            worst_unitarity = max(worst_unitarity, prop.defect, fwd.defect, rev.defect)
             rows.append((steps, abs(prop.abelian_phase() - exact), prop.offdiagonal_norm(),
                          path_dep))
         print(f"planar segment phase (analytic): {exact:.9f} rad")

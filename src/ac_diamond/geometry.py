@@ -54,6 +54,8 @@ class DiskTrajectory:
                 f"rim speed 2*pi*|f|*r of f = {self.frequency!r} Hz, "
                 f"r = {self.radius!r} m is not finite"
             )
+        if not math.isfinite(self.tilt):
+            raise NumericPreconditionError(f"disk tilt {self.tilt!r} rad is not finite")
 
 
 def _tilt_matrix(tilt: float) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Numerical path-ordered propagator for the full SU(2) A-C phase operator, and
-the spin matrices, spin states and qubit rotations it acts with.
+the spin matrices, spin states and qubit pulses it acts with.
 
 The spin couples to the motion through the Hermitian generator
 
@@ -20,8 +20,8 @@ time-reversed traversal would just invert the propagator exactly and show
 nothing.
 
 One stepper, :func:`_stream_product`, builds every propagator, and the state
-oracle (:func:`ac_diamond.sequence.simulate_run` in oracle mode) steps its
-state with those propagators.  It chooses its path once, from the disk tilt
+oracle (:func:`ac_diamond.sequence.simulate_run` in oracle mode) builds its
+run unitary from two of them.  It chooses its path once, from the disk tilt
 and the field, which lies along x, so the coupling axis k*(E x v) is
 k*E*(0, -v_z, v_y).  For an untilted disk (or a zero field) it lies exactly
 along z, G = a_z*Sz, and the stepper sums the midpoint rates a_z in closed
@@ -100,26 +100,20 @@ class SpinState:
         return float(abs(self.amplitudes[idx]) ** 2)
 
 
-def rotation_matrix(theta: float, phi: float) -> np.ndarray:
-    """2x2 unitary of the Rabi rotation by angle theta about the equatorial
-    axis set by phase phi, on the (|0>, |1>) pair."""
+def qubit_pulse(theta: float, phi: float) -> np.ndarray:
+    """3x3 unitary of the Rabi rotation by angle theta about the equatorial
+    axis set by phase phi, on the (|0>, |1>) pair; identity on |-1>."""
     import numpy as np
 
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
     return np.array(
         [
-            [c, -1j * np.exp(-1j * phi) * s],
-            [-1j * np.exp(1j * phi) * s, c],
+            [1.0, 0.0, 0.0],
+            [0.0, c, -1j * np.exp(-1j * phi) * s],
+            [0.0, -1j * np.exp(1j * phi) * s, c],
         ]
     )
-
-
-def apply_rotation(state: SpinState, theta: float, phi: float) -> SpinState:
-    """Apply a qubit Rabi pulse; the |-1> amplitude is untouched."""
-    amps = state.amplitudes.copy()
-    amps[1:] = rotation_matrix(theta, phi) @ amps[1:]
-    return SpinState(amps)
 
 
 @dataclass(frozen=True)
@@ -447,10 +441,8 @@ def dyson_second_order(
     """
     traj = sampling.trajectory
     delta = TWO_PI * traj.frequency * (sampling.t_end - sampling.t_start)
-    if not (math.isfinite(delta) and math.isfinite(traj.tilt)):  # math.sin(inf) raises
-        raise NumericPreconditionError(
-            f"rotation angle 2*pi*f*span = {delta!r} rad or tilt {traj.tilt!r} is not finite"
-        )
+    if not math.isfinite(delta):  # math.sin(inf) raises
+        raise NumericPreconditionError(f"rotation angle 2*pi*f*span = {delta!r} rad is not finite")
     k_e_r = coupling_constant(params) * sampling.field.magnitude * traj.radius
     coefficient = 0.5 * math.sin(traj.tilt) * (k_e_r * k_e_r) * _sin_minus_angle(delta)
     if not math.isfinite(coefficient):

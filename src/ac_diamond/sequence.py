@@ -23,7 +23,10 @@ and imports no numpy; its float operations follow numpy's own order, so a
 sweep is bit for bit what ``np.linspace`` and ``np.gradient`` gave.  Where
 numpy under ``np.errstate`` raised (a float overflow, a division by a zero
 that an underflow made), it raises :class:`NumericPreconditionError`.  Only
-the oracle imports numpy and the stepper, when it runs.
+the oracle imports numpy and the stepper, when it runs.  It builds the whole
+run as one unitary, in about log2(n) 3x3 products: the two interval
+propagators of one rotation, each followed by its pi pulse, raised to the
+n-th power, with the polar factor of the result as the run.
 """
 
 from __future__ import annotations
@@ -163,8 +166,8 @@ def simulate_run(
     ``quadratic_mass``, which it does not model.
 
     oracle: integrates the two intervals of one rotation with the path-ordered
-    stepper, then applies their propagators in turn between the pulse rotation
-    matrices for every interval of the run; tolerates tilt.
+    stepper, folds in their pi pulses, and applies that rotation's unitary to
+    the n-th power to the pi/2-pulsed state; tolerates tilt.
     """
     if mode not in ("closed_form", "oracle"):
         raise ValueError(f"unknown simulation mode {mode!r}")
@@ -237,40 +240,37 @@ def _run_oracle(
 ):
     import numpy as np
 
-    from .holonomy import (
-        PathSampling, SpinState, apply_rotation, path_ordered_propagator, rotation_matrix,
-    )
+    from .holonomy import PathSampling, SpinState, path_ordered_propagator, qubit_pulse
 
     half = schedule.half_period
     coherence = math.exp(-schedule.duration / params.T2)
     # The velocity has period 2h, so interval k + 2 has interval k's
-    # propagator: only the first two intervals are integrated.  Each
-    # propagator is replaced by its polar (nearest-unitary) factor, as each
-    # closed-form step is unitary only to rounding and that defect adds up
-    # along the product (about 2e-13 over 1e4 tilted steps, 1.4e-12 with a
-    # 1e4 Hz detuning), so a state carried through many intervals would drift
-    # off unit norm.
+    # propagator: only the first two intervals are integrated, each followed
+    # by its pi pulse, and the run is their rotation raised to the power
+    # intervals // 2, then the first interval once more if the count is odd.
+    pulse = qubit_pulse(math.pi, 0.0) if schedule.refocus else np.eye(3)
     period = []
     for k in range(min(schedule.intervals, 2)):
         sampling = PathSampling(k * half, (k + 1) * half, steps_per_interval, traj, field)
         u = path_ordered_propagator(
             sampling, params, detuning_hz=detuning_hz, quadratic_mass=quadratic_mass
         ).U
-        w, _, vh = np.linalg.svd(u)
-        period.append(w @ vh)
-    state = apply_rotation(SpinState.ground(), math.pi / 2.0, 0.0)
-    for k in range(schedule.intervals):
-        state = SpinState(period[k % 2] @ state.amplitudes)
-        if schedule.refocus:
-            state = apply_rotation(state, math.pi, 0.0)
+        period.append(pulse @ u)
+    run = np.linalg.matrix_power(period[-1] @ period[0], schedule.intervals // 2)
+    if schedule.intervals % 2:
+        run = period[0] @ run
+    # Each closed-form step is unitary only to rounding, and the power
+    # compounds that defect, so the run is replaced by its polar
+    # (nearest-unitary) factor and the state keeps unit norm.
+    w, _, vh = np.linalg.svd(run)
+    state = SpinState(w @ vh @ qubit_pulse(math.pi / 2.0, 0.0) @ SpinState.ground().amplitudes)
     # Dephasing damps the qubit coherence accumulated over the run, so it is
     # applied to the density matrix before the lagging readout pulse.
     amps = state.amplitudes
     rho = np.outer(amps, amps.conj())
     rho[1, 2] *= coherence
     rho[2, 1] *= coherence
-    gate = np.eye(3, dtype=complex)
-    gate[1:, 1:] = rotation_matrix(math.pi / 2.0, -schedule.readout_lag)
+    gate = qubit_pulse(math.pi / 2.0, -schedule.readout_lag)
     rho = gate @ rho @ gate.conj().T
     return RunResult(
         p1=float(np.real(rho[2, 2])),

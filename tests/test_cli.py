@@ -136,6 +136,18 @@ class TestHolonomy:
             assert float(row[3]) == float(np.linalg.norm(fwd.U - rev.U, 2))
             assert float(row[3]) > 0.0
 
+    def test_worst_defect_includes_the_reverse_product(self, tmp_path, monkeypatch, capsys):
+        def flawed_reverse(sampling, params, **kwargs):
+            prop = path_ordered_propagator(sampling, params, **kwargs)
+            if kwargs.get("reverse"):
+                prop.defect = 9e-11  # below the 1e-10 refusal, above every true defect
+            return prop
+
+        monkeypatch.setattr(cli, "path_ordered_propagator", flawed_reverse)
+        assert main(["holonomy", "--config", "tests/golden/tilted.cfg", "--steps", "2000",
+                     "--out", str(tmp_path / "hol.csv")]) == 0
+        assert "worst unitarity defect: 9.000e-11\n" in capsys.readouterr().out
+
     def test_float_overflow_exits_3(self, monkeypatch, capsys, tmp_path):
         # a tilted run is under np.errstate, so a numpy overflow raises, not warns
         def overflowing(*args, **kwargs):

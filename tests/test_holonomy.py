@@ -245,6 +245,11 @@ class TestPathOrderedPropagator:
         prop = path_ordered_propagator(sampling(20000), PARAMS)
         assert prop.offdiagonal_norm() < 1e-10
 
+    def test_tilted_offdiagonal_norm_is_the_largest_offdiagonal_entry(self):
+        prop = path_ordered_propagator(sampling(2000, traj=TILTED), PARAMS)
+        off = prop.U - np.diag(np.diag(prop.U))
+        assert prop.offdiagonal_norm() == np.max(np.abs(off)) > 0.0
+
     def test_composition(self):
         mid = HALF / 2.0
         full = path_ordered_propagator(sampling(4000), PARAMS)
@@ -659,15 +664,22 @@ class TestDysonSecondOrder:
 
     @pytest.mark.parametrize(
         "t1, magnitude, tilt",
-        [(1e308, FIELD.magnitude, 0.3), (HALF, 1e308, 0.3), (HALF, FIELD.magnitude, math.inf)],
-        ids=["span", "field", "tilt"],
+        [
+            (1e308, FIELD.magnitude, 0.3),
+            (HALF, 1e308, 0.3),
+            (HALF, FIELD.magnitude, math.inf),
+            (HALF, FIELD.magnitude, -math.inf),
+            (HALF, FIELD.magnitude, math.nan),
+        ],
+        ids=["span", "field", "tilt", "tilt-minus-inf", "tilt-nan"],
     )
     def test_non_finite_term_refused(self, t1, magnitude, tilt):
         # 2*pi*f*1e308 overflows the rotation angle and math.sin(inf) would
-        # raise a bare ValueError; (k*E*r)^2 at 1e308 V/m overflows the coefficient
-        traj = station_trajectory(RADIUS, FREQ, tilt=tilt)
-        samp = sampling(100, t1=t1, traj=traj, field=FieldConfig(magnitude=magnitude))
+        # raise a bare ValueError; (k*E*r)^2 at 1e308 V/m overflows the
+        # coefficient; the trajectory itself refuses a non-finite tilt
         with pytest.raises(NumericPreconditionError, match="not finite"):
+            traj = station_trajectory(RADIUS, FREQ, tilt=tilt)
+            samp = sampling(100, t1=t1, traj=traj, field=FieldConfig(magnitude=magnitude))
             dyson_second_order(samp, PARAMS)
 
     def test_cost_is_independent_of_the_step_count(self, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ac_diamond.holonomy import SpinState, apply_rotation, spin_operators
+from ac_diamond.holonomy import SpinState, qubit_pulse, spin_operators
 from ac_diamond.physics import C_LIGHT, H_PLANCK, HBAR, MU_B, NVParameters
 
 TWO_PI = 2.0 * np.pi
@@ -97,6 +97,10 @@ def _normalized_state(raw):
 state_components = st.lists(
     st.floats(min_value=-1.0, max_value=1.0), min_size=6, max_size=6
 ).filter(lambda raw: sum(x * x for x in raw) > 1e-4)
+
+
+def apply_rotation(state, theta, phi):
+    return SpinState(qubit_pulse(theta, phi) @ state.amplitudes)
 
 
 class TestRotations:

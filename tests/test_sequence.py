@@ -241,7 +241,7 @@ def per_interval_oracle(schedule, traj, field, params, detuning_hz=0.0,
     """(p1, ac_phase) of an oracle run that integrates every interval of the
     schedule afresh: the reference for the oracle's reuse of one rotation."""
     half = schedule.half_period
-    state = holonomy.apply_rotation(holonomy.SpinState.ground(), math.pi / 2.0, 0.0)
+    state = holonomy.SpinState(holonomy.qubit_pulse(math.pi / 2.0, 0.0)[:, 1])
     for k in range(1, schedule.intervals + 1):
         sampling = holonomy.PathSampling((k - 1) * half, k * half, steps_per_interval,
                                          traj, field)
@@ -250,14 +250,13 @@ def per_interval_oracle(schedule, traj, field, params, detuning_hz=0.0,
         w, _, vh = np.linalg.svd(u)
         state = holonomy.SpinState(w @ vh @ state.amplitudes)
         if schedule.refocus:
-            state = holonomy.apply_rotation(state, math.pi, 0.0)
+            state = holonomy.SpinState(holonomy.qubit_pulse(math.pi, 0.0) @ state.amplitudes)
     coherence = math.exp(-schedule.duration / params.T2)
     amps = state.amplitudes
     rho = np.outer(amps, amps.conj())
     rho[1, 2] *= coherence
     rho[2, 1] *= coherence
-    gate = np.eye(3, dtype=complex)
-    gate[1:, 1:] = holonomy.rotation_matrix(math.pi / 2.0, -schedule.readout_lag)
+    gate = holonomy.qubit_pulse(math.pi / 2.0, -schedule.readout_lag)
     rho = gate @ rho @ gate.conj().T
     return float(np.real(rho[2, 2])), float(np.angle(amps[2] * np.conj(amps[1])))
 
@@ -305,6 +304,50 @@ class TestOracleReusesOneRotation:
         monkeypatch.setattr(holonomy, "path_ordered_propagator", counted)
         simulate_run(sched, TILTED_TRAJ, FIELD, PARAMS, mode="oracle", steps_per_interval=200)
         assert len(calls) == built
+
+
+class TestOracleAsOneUnitary:
+    """The oracle raises one rotation's unitary to the n-th power and takes a
+    single polar factor, so no rounding compounds along the run and every
+    rotation count up to the cap returns."""
+
+    @pytest.mark.parametrize("detuning", [0.0, 1e4], ids=["tuned", "detuned"])
+    @pytest.mark.parametrize("traj", [TRAJ, TILTED_TRAJ], ids=["planar", "tilted"])
+    @pytest.mark.parametrize("n", [5000, MAX_ROTATIONS])
+    def test_runs_up_to_the_rotation_cap(self, n, traj, detuning):
+        # stepping the state interval by interval ended in "state is not
+        # normalized" from n = 5000 planar and n = 3000 tilted
+        sched = build_echo_schedule(n, FREQ, 0.3)
+        run = simulate_run(sched, traj, FIELD, PARAMS, mode="oracle", detuning_hz=detuning)
+        assert 0.0 <= run.p1 <= 1.0
+
+    @pytest.mark.parametrize("n", [1000, 5000, 10000])
+    def test_planar_p1_is_the_closed_form(self, n):
+        # T2 has damped the fringe away, so p1 is the closed form's 1/2 up to
+        # the norm the state keeps; stepping it drifted 1.3e-13 by n = 1000
+        sched = build_echo_schedule(n, FREQ, 0.3)
+        closed = simulate_run(sched, TRAJ, FIELD, PARAMS)
+        oracle = simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle")
+        assert abs(oracle.p1 - closed.p1) <= 1e-14
+
+    @pytest.mark.parametrize("sched", [
+        odd_pulse_schedule(1, FREQ),
+        build_echo_schedule(1, FREQ),
+        build_echo_schedule(7, FREQ),
+        odd_pulse_schedule(3, FREQ),
+        strip_pi_pulses(build_echo_schedule(3, FREQ)),
+    ], ids=["one-interval", "n1", "n7", "odd-schedule", "no-pi-pulses"])
+    def test_takes_one_polar_factor(self, sched, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        simulate_run(sched, TILTED_TRAJ, FIELD, PARAMS, mode="oracle", steps_per_interval=200)
+        assert len(calls) == 1
 
 
 class TestEchoCancellation:
