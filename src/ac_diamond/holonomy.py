@@ -19,9 +19,9 @@ path-ordered product against the reverse-ordered one
 time-reversed traversal would just invert the propagator exactly and show
 nothing.
 
-One stepper, :func:`_stream_product`, builds every propagator, and the state
-oracle (:func:`ac_diamond.sequence.simulate_run` in oracle mode) builds its
-run unitary from two of them.  It chooses its path once, from the disk tilt
+One stepper, :func:`path_ordered_propagator`, builds every propagator, and the
+state oracle (:func:`ac_diamond.sequence.simulate_run` in oracle mode) builds
+its run unitary from two of them.  It chooses its path once, from the disk tilt
 and the field, which lies along x, so the coupling axis k*(E x v) is
 k*E*(0, -v_z, v_y).  For an untilted disk (or a zero field) it lies exactly
 along z, G = a_z*Sz, and the stepper sums the midpoint rates a_z in closed
@@ -30,8 +30,10 @@ matrix exponential or matrix product; the forward and reverse products are
 therefore bitwise equal, and the cost does not grow with the step count.  A
 tilted disk's steps are closed-form spin-1 rotations, built and multiplied out
 in blocks of ``_CHUNK_STEPS`` steps; no function's memory grows with the step
-count.  numpy is imported by the functions that use it, so a planar propagator
-runs without it.
+count.  The oracle's constant diagonal rates C enter either path once, as the
+exact factor exp(-i*C*span), and a tilted product takes each rotation in the
+interaction frame of C.  numpy is imported by the functions that use it, so a
+planar propagator runs without it.
 
 Basis convention used throughout the package: the probe is the spin-1 NV
 ground triplet, and amplitude vectors and operator matrices are indexed by
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -127,8 +130,10 @@ class PathSampling:
     field: FieldConfig
 
     def __post_init__(self):
-        if self.steps < 1:
+        steps = self.steps
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
             raise ValueError("steps must be a positive integer")
+        object.__setattr__(self, "steps", int(steps))  # the planar sum needs Python ints
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
 
@@ -233,9 +238,9 @@ def _check_step_bound(step_phase: float) -> None:
         )
 
 
-def _step_exponentials(axes: np.ndarray, dt: float, const_diag: np.ndarray) -> np.ndarray:
-    """exp(-i*C*dt/2) @ exp(-i*dt*a.S) @ exp(-i*C*dt/2), C = diag(const_diag),
-    for each coupling axis a: Strang's symmetric split, second order.
+def _step_exponentials(axes: np.ndarray, dt: float, const_diag: tuple) -> np.ndarray:
+    """exp(-i*dt*a.S) for each coupling axis a, the rotations that join the
+    constant diagonal C = diag(const_diag).
 
     K = (a/|a|).S has eigenvalues -1, 0, 1, so K^3 = K and the rotation is
     Rodrigues' I - i*sin(phi)*K + (cos(phi) - 1)*K^2, phi = dt*|a|, with
@@ -247,12 +252,10 @@ def _step_exponentials(axes: np.ndarray, dt: float, const_diag: np.ndarray) -> n
     import numpy as np
 
     norm = np.linalg.norm(axes, axis=1)
-    _check_step_bound(dt * (float(np.max(norm)) + float(np.max(np.abs(const_diag)))))
+    _check_step_bound(dt * (float(np.max(norm)) + max(map(abs, const_diag))))
     k = np.tensordot(axes / np.where(norm > 0.0, norm, 1.0)[:, None], spin_operators(), axes=1)
     phi = (dt * norm)[:, None, None]
-    rotation = np.eye(3) - 1j * np.sin(phi) * k - 2.0 * np.sin(0.5 * phi) ** 2 * (k @ k)
-    half = np.exp(-0.5j * dt * const_diag)
-    return half[:, None] * rotation * half
+    return np.eye(3) - 1j * np.sin(phi) * k - 2.0 * np.sin(0.5 * phi) ** 2 * (k @ k)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -306,12 +309,7 @@ def _planar_rate_sum(sampling: PathSampling, params: NVParameters) -> float:
     def angle(n):
         return STATION_A_ANGLE + omega * (t0 + (n + 0.5) * dt)
 
-    def rate(n):
-        try:
-            return k * (e * (speed * math.cos(angle(n))))
-        except ValueError:  # math.cos of an infinite angle, where numpy gives NaN
-            return math.nan
-
+    # the angles are monotone in n, so finite ends keep every angle finite
     lo, hi = sorted((angle(0), angle(steps - 1)))
     _check_finite_axes(math.isfinite(lo) and math.isfinite(hi))
     first_turn, last_turn = math.floor(lo / math.pi), math.ceil(hi / math.pi)
@@ -323,7 +321,7 @@ def _planar_rate_sum(sampling: PathSampling, params: NVParameters) -> float:
         for m in range(first_turn, last_turn + 1) if h else ():  # h = 0: one angle
             n = round(min(max((m * math.pi - alpha) / h - 0.5, 0.0), steps - 1.0))
             near.update(range(max(n - 1, 0), min(n + 2, steps)))
-    rates = [rate(n) for n in near]
+    rates = [k * (e * (speed * math.cos(angle(n)))) for n in near]
     _check_finite_axes(all(map(math.isfinite, rates)))
     # ||a_z*Sz||_2 = |a_z|*max|m| = |a_z|
     _check_step_bound(dt * max(map(abs, rates)))
@@ -343,49 +341,6 @@ def _planar_rate_sum(sampling: PathSampling, params: NVParameters) -> float:
     return rate_sum
 
 
-def _stream_product(
-    sampling: PathSampling,
-    params: NVParameters,
-    const_diag: tuple[float, float, float],
-    reverse: bool,
-) -> Propagator:
-    """Ordered product of the midpoint step exponentials of G(t) + diag(const_diag).
-
-    An untilted disk (or a zero field) has every coupling axis exactly along
-    z, so every G is a_z*Sz (``spin_operators`` keeps Sx and Sy zero on the
-    diagonal), the steps commute, and their product collapses exactly to one
-    exponential of the summed phases m*sum(a_z)*dt, m = (-1, 0, 1); this takes
-    the midpoint sum in closed form (:func:`_planar_rate_sum`, in Python
-    floats, in time independent of the step count), keeps the result
-    diagonal and at unit modulus, and exponentiates the constant diagonal
-    rates exactly at any step size.
-    A tilted disk's steps (:func:`_step_exponentials`, the constant diagonal
-    split around each rotation) are built in blocks of ``_CHUNK_STEPS`` steps
-    and folded block by block into a running product, in path order or
-    (``reverse``) anti-path order.
-    """
-    dt = sampling.dt
-    if sampling.trajectory.tilt == 0.0 or sampling.field.magnitude == 0.0:
-        rate_z = _planar_rate_sum(sampling, params)
-        span = sampling.t_end - sampling.t_start
-        return Propagator(diagonal=tuple(
-            cmath.exp(-1j * (dt * (m * rate_z) + c * span))
-            for m, c in zip((-1.0, 0.0, 1.0), const_diag)
-        ))
-    import numpy as np
-
-    const_diag = np.array(const_diag)
-    product = np.eye(3, dtype=complex)
-    for start in range(0, sampling.steps, _CHUNK_STEPS):
-        stop = min(start + _CHUNK_STEPS, sampling.steps)
-        steps = _step_exponentials(_coupling_axes(sampling, params, start, stop), dt, const_diag)
-        if reverse:
-            product = product @ _ordered_product(steps[::-1])
-        else:
-            product = _ordered_product(steps) @ product
-    return Propagator(U=product)
-
-
 def path_ordered_propagator(
     sampling: PathSampling,
     params: NVParameters,
@@ -401,13 +356,56 @@ def path_ordered_propagator(
     changes nothing (the two results are bitwise equal); when tilted, forward
     minus reverse is twice the second-order Dyson term to leading order.
     In the rotating frame, ``detuning_hz`` adds a residual precession of |1>
-    against |0>, and ``quadratic_mass`` the quadratic-in-E level shifts.
+    against |0>, and ``quadratic_mass`` the quadratic-in-E level shifts: the
+    constant diagonal rates C, applied once, as the exact factor exp(-i*C*span).
+
+    An untilted disk (or a zero field) has every G = a_z*Sz, so the steps
+    commute and their product is exactly the diagonal exp(-i*m*dt*sum(a_z)),
+    m = (-1, 0, 1), at unit modulus, with the midpoint sum in closed form
+    (:func:`_planar_rate_sum`, in time independent of the step count).
+    A tilted disk's rotations R_n (:func:`_step_exponentials`) are built in
+    blocks of ``_CHUNK_STEPS`` steps and folded block by block into a running
+    product, in path order or (``reverse``) anti-path order, each in the
+    interaction frame of C, exp(i*C*t_n) R_n exp(-i*C*t_n) with t_n its
+    midpoint's offset in the order of the product.  exp(-i*C*span) times that
+    product is Strang's split prod_n exp(-i*C*dt/2) R_n exp(-i*C*dt/2) (SIAM
+    J. Numer. Anal. 5, 506 (1968)), with each step's frame phase rounded once.
     """
+    if not math.isfinite(detuning_hz):
+        raise NumericPreconditionError(f"detuning_hz = {detuning_hz!r} is not finite")
     const_diag = (0.0, 0.0, TWO_PI * detuning_hz)
     if quadratic_mass is not None:
+        if not 0.0 < quadratic_mass < math.inf:  # also refuses NaN
+            raise NumericPreconditionError(
+                f"quadratic_mass = {quadratic_mass!r} is not positive and finite"
+            )
         shift = _quadratic_diagonal_shift(sampling.field.magnitude, params, quadratic_mass)
         const_diag = tuple(c + s for c, s in zip(const_diag, shift))
-    return _stream_product(sampling, params, const_diag, reverse)
+    span, dt = sampling.t_end - sampling.t_start, sampling.dt
+    phases = [c * span for c in const_diag]
+    if not all(map(math.isfinite, phases)):
+        raise NumericPreconditionError("constant diagonal phase C*span is not finite")
+    frame = [cmath.exp(-1j * p) for p in phases]  # exp(-i*C*span)
+    if sampling.trajectory.tilt == 0.0 or sampling.field.magnitude == 0.0:
+        rate_z = _planar_rate_sum(sampling, params)
+        return Propagator(diagonal=tuple(
+            f * cmath.exp(-1j * (dt * (m * rate_z))) for m, f in zip((-1.0, 0.0, 1.0), frame)
+        ))
+    import numpy as np
+
+    gaps = np.subtract.outer(const_diag, const_diag)  # c_j - c_k
+    product = np.eye(3, dtype=complex)
+    for start in range(0, sampling.steps, _CHUNK_STEPS):
+        stop = min(start + _CHUNK_STEPS, sampling.steps)
+        steps = _step_exponentials(_coupling_axes(sampling, params, start, stop), dt, const_diag)
+        if gaps.any():  # R_n[j, k] * exp(i*(c_j - c_k)*t_n)
+            offsets = (np.arange(start, stop) + 0.5) * dt
+            steps *= np.exp(1j * np.multiply.outer(span - offsets if reverse else offsets, gaps))
+        if reverse:
+            product = product @ _ordered_product(steps[::-1])
+        else:
+            product = _ordered_product(steps) @ product
+    return Propagator(U=np.array(frame)[:, None] * product)
 
 
 def _sin_minus_angle(d: float) -> float:

@@ -18,6 +18,7 @@ from ac_diamond.physics import C_LIGHT, HBAR, MU_B, NVParameters, stark_shift
 from ac_diamond.sequence import (
     FRINGE_SNAP,
     EchoSchedule,
+    RunResult,
     build_echo_schedule,
     fringe_zero_crossings,
     linear_grid,
@@ -37,6 +38,7 @@ RADIUS = 0.01
 PARAMS = NVParameters(B_z=1e-3)
 PARAMS_IDEAL = dataclasses.replace(PARAMS, T2=math.inf)
 TRAJ = station_trajectory(RADIUS, FREQ)
+TILTED_TRAJ = station_trajectory(RADIUS, FREQ, tilt=0.3)
 FIELD = FieldConfig(magnitude=3e7)
 # fluorescence-curve setup: E0 chosen so the rectified phase at n=7 is 10 rad
 E0_PHI10 = 18249962.499985337
@@ -235,6 +237,12 @@ class TestOracleAgreement:
         with pytest.raises(ValueError):
             simulate_run(sched, TRAJ, FIELD, PARAMS, mode="fancy")
 
+    @pytest.mark.parametrize("traj", [TRAJ, TILTED_TRAJ], ids=["planar", "tilted"])
+    def test_non_integer_step_count_rejected(self, traj):
+        sched = build_echo_schedule(1, FREQ)
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            simulate_run(sched, traj, FIELD, PARAMS, mode="oracle", steps_per_interval=1000.0)
+
 
 def per_interval_oracle(schedule, traj, field, params, detuning_hz=0.0,
                         steps_per_interval=20000, quadratic_mass=None):
@@ -259,9 +267,6 @@ def per_interval_oracle(schedule, traj, field, params, detuning_hz=0.0,
     gate = holonomy.qubit_pulse(math.pi / 2.0, -schedule.readout_lag)
     rho = gate @ rho @ gate.conj().T
     return float(np.real(rho[2, 2])), float(np.angle(amps[2] * np.conj(amps[1])))
-
-
-TILTED_TRAJ = station_trajectory(RADIUS, FREQ, tilt=0.3)
 
 
 class TestOracleReusesOneRotation:
@@ -376,6 +381,20 @@ class TestEchoCancellation:
         shifted = simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=detuning).p1
         assert abs(base - shifted) < 1e-9
 
+    def test_oracle_p1_is_invariant_under_detuning(self):
+        # each interval takes the detuning as one exact factor, which the pi
+        # pulses cancel; summed into the A-C phase before one exponential it
+        # rounded that phase away (p1 2.1e-5 off at 1e15 Hz)
+        sched = build_echo_schedule(3, FREQ, 0.3)
+
+        def p1(detuning):
+            return simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle",
+                                detuning_hz=detuning, steps_per_interval=2000).p1
+
+        tuned = p1(0.0)
+        for detuning in (1e5, 1e9, 1e12, 1e15):
+            assert abs(p1(detuning) - tuned) <= 1e-15
+
     def test_no_pulse_control_accumulates_nothing(self):
         sched = strip_pi_pulses(build_echo_schedule(6, FREQ))
         run = simulate_run(sched, TRAJ, FIELD, PARAMS_IDEAL)
@@ -388,6 +407,17 @@ class TestEchoCancellation:
         assert run.ac_phase == pytest.approx(phi, rel=1e-9)
 
 
+class TestRunResult:
+    @pytest.mark.parametrize("p1", [1.5, -0.1, math.nan])
+    def test_population_out_of_range_rejected(self, p1):
+        with pytest.raises(ValueError, match="population out of range"):
+            RunResult(p1=p1, ac_phase=0.0, coherence=1.0)
+
+    @pytest.mark.parametrize("p1", [-1e-13, 0.0, 1.0, 1.0 + 1e-13])
+    def test_population_within_rounding_accepted(self, p1):
+        assert RunResult(p1=p1, ac_phase=0.0, coherence=1.0).p1 == p1
+
+
 class TestOptimalReadoutLag:
     def test_large_phase(self):
         assert optimal_readout_lag(10.0) == pytest.approx(2.146018366025517,
@@ -398,6 +428,10 @@ class TestOptimalReadoutLag:
 
     def test_already_at_quadrature(self):
         assert optimal_readout_lag(math.pi / 2.0) == pytest.approx(0.0, abs=1e-15)
+
+    def test_negative_phase_rejected(self):
+        with pytest.raises(ValueError, match="phi_max must be non-negative"):
+            optimal_readout_lag(-1.0)
 
     @given(phi=st.floats(min_value=0.0, max_value=50.0))
     def test_quadrature_condition(self, phi):
