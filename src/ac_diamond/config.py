@@ -22,6 +22,8 @@ def integer_rotations(n) -> int:
     most ``MAX_ROTATIONS``."""
     if float(n) > MAX_ROTATIONS:
         raise ValueError(f"rotation count {n!r} exceeds the cap of {MAX_ROTATIONS}")
+    if not math.isfinite(float(n)):  # round() raises a bare error on NaN or -inf
+        raise ValueError(f"rotation count n = {n!r} is not finite")
     n_int = int(round(float(n)))
     if abs(float(n) - n_int) > 1e-12 or n_int < 1:
         raise ValueError(

@@ -1,5 +1,5 @@
 """Numerical path-ordered propagator for the full SU(2) A-C phase operator, and
-the spin matrices, spin states and qubit pulses it acts with.
+the spin matrices and qubit pulses it acts with.
 
 The spin couples to the motion through the Hermitian generator
 
@@ -30,10 +30,10 @@ matrix exponential or matrix product; the forward and reverse products are
 therefore bitwise equal, and the cost does not grow with the step count.  A
 tilted disk's steps are closed-form spin-1 rotations, built and multiplied out
 in blocks of ``_CHUNK_STEPS`` steps; no function's memory grows with the step
-count.  The oracle's constant diagonal rates C enter either path once, as the
-exact factor exp(-i*C*span), and a tilted product takes each rotation in the
-interaction frame of C.  numpy is imported by the functions that use it, so a
-planar propagator runs without it.
+count.  The oracle's detuning, a constant rate c on |+1>, enters either path
+once, as the exact factor exp(-i*c*span), and a tilted product takes each
+rotation in the interaction frame of C = diag(0, 0, c).  numpy is imported by
+the functions that use it, so a planar propagator runs without it.
 
 Basis convention used throughout the package: the probe is the spin-1 NV
 ground triplet, and amplitude vectors and operator matrices are indexed by
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from .errors import NumericPreconditionError
 from .geometry import STATION_A_ANGLE, DiskTrajectory, FieldConfig, velocity
 from .phase import coupling_constant
-from .physics import C_LIGHT, HBAR, MU_B, TWO_PI, NVParameters
+from .physics import TWO_PI, NVParameters
 
 MAX_STEP_PHASE = 0.5  # rad; per-step rotation bound for the midpoint exponential
 _CHUNK_STEPS = 8192  # tilted steps per streamed block; bounds the live (steps, 3, 3) stacks
@@ -73,34 +73,6 @@ def spin_operators() -> np.ndarray:
     sx = (raising + raising.conj().T) / 2.0
     sy = (raising - raising.conj().T) / 2j
     return np.stack([sx, sy, sz])
-
-
-@dataclass(frozen=True)
-class SpinState:
-    """Normalized complex amplitudes over the spin-1 ascending-m basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (3,):
-            raise ValueError("amplitudes must be a complex vector of length 3")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def ground(cls) -> "SpinState":
-        """The optically pumped |0> state of the spin-1 ground triplet."""
-        return cls([0.0, 1.0, 0.0])
-
-    def population(self, m: int) -> float:
-        """Population of the Sz eigenstate with magnetic quantum number m."""
-        idx = {-1: 0, 0: 1, 1: 2}[m]
-        return float(abs(self.amplitudes[idx]) ** 2)
 
 
 def qubit_pulse(theta: float, phi: float) -> np.ndarray:
@@ -136,6 +108,8 @@ class PathSampling:
         object.__setattr__(self, "steps", int(steps))  # the planar sum needs Python ints
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
+        if not self.t_end - self.t_start < math.inf:
+            raise NumericPreconditionError("sampling span t_end - t_start is not finite")
 
     @property
     def dt(self) -> float:
@@ -192,20 +166,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(3))))
 
 
-def _quadratic_diagonal_shift(magnitude, params, mass) -> tuple[float, float, float]:
-    """Diagonal of (mu^2 E^2 - (mu S x E)^2)/(2 m c^4 hbar) in rad/s, mu = g*mu_B,
-    for the field E = (magnitude, 0, 0).
-
-    These are the two quadratic-in-E Hamiltonian terms dropped from the
-    coupling; only their level shifts (the echo-cancellable part) are kept.
-    For E along x, (S x E)^2 = E^2 (Sy^2 + Sz^2), whose spin-1 diagonal is
-    E^2 (3/2, 1, 3/2), so the shifts are (mu*E)^2/(2 m c^4 hbar) * (-1/2, 0, -1/2).
-    """
-    mu_e = params.g * MU_B * magnitude
-    shift = -0.5 * mu_e * mu_e / (2.0 * mass * C_LIGHT**4 * HBAR)
-    return (shift, 0.0, shift)
-
-
 def _coupling_axes(
     sampling: PathSampling, params: NVParameters, start: int, stop: int
 ) -> np.ndarray:
@@ -238,21 +198,21 @@ def _check_step_bound(step_phase: float) -> None:
         )
 
 
-def _step_exponentials(axes: np.ndarray, dt: float, const_diag: tuple) -> np.ndarray:
+def _step_exponentials(axes: np.ndarray, dt: float, c: float) -> np.ndarray:
     """exp(-i*dt*a.S) for each coupling axis a, the rotations that join the
-    constant diagonal C = diag(const_diag).
+    constant diagonal C = diag(0, 0, c).
 
     K = (a/|a|).S has eigenvalues -1, 0, 1, so K^3 = K and the rotation is
     Rodrigues' I - i*sin(phi)*K + (cos(phi) - 1)*K^2, phi = dt*|a|, with
     cos(phi) - 1 as the non-cancelling -2*sin(phi/2)^2; a zero axis gives I.
-    Refuses the stack unless dt*(max|a| + max|c|) < MAX_STEP_PHASE: with C = 0
+    Refuses the stack unless dt*(max|a| + |c|) < MAX_STEP_PHASE: with C = 0
     that is dt*||G||_2 exactly (||a.S||_2 = |a|), else an upper bound on
     dt*||a.S + C||_2.  Only the echo oracle passes a nonzero C.
     """
     import numpy as np
 
     norm = np.linalg.norm(axes, axis=1)
-    _check_step_bound(dt * (float(np.max(norm)) + max(map(abs, const_diag))))
+    _check_step_bound(dt * (float(np.max(norm)) + abs(c)))
     k = np.tensordot(axes / np.where(norm > 0.0, norm, 1.0)[:, None], spin_operators(), axes=1)
     phi = (dt * norm)[:, None, None]
     return np.eye(3) - 1j * np.sin(phi) * k - 2.0 * np.sin(0.5 * phi) ** 2 * (k @ k)
@@ -347,7 +307,6 @@ def path_ordered_propagator(
     *,
     reverse: bool = False,
     detuning_hz: float = 0.0,
-    quadratic_mass: float | None = None,
 ) -> Propagator:
     """Path-ordered propagator over the sampled trajectory segment.
 
@@ -356,8 +315,8 @@ def path_ordered_propagator(
     changes nothing (the two results are bitwise equal); when tilted, forward
     minus reverse is twice the second-order Dyson term to leading order.
     In the rotating frame, ``detuning_hz`` adds a residual precession of |1>
-    against |0>, and ``quadratic_mass`` the quadratic-in-E level shifts: the
-    constant diagonal rates C, applied once, as the exact factor exp(-i*C*span).
+    against |0>: the constant diagonal C = diag(0, 0, c), c = 2*pi*detuning_hz,
+    applied once, as the exact factor exp(-i*C*span).
 
     An untilted disk (or a zero field) has every G = a_z*Sz, so the steps
     commute and their product is exactly the diagonal exp(-i*m*dt*sum(a_z)),
@@ -367,25 +326,18 @@ def path_ordered_propagator(
     blocks of ``_CHUNK_STEPS`` steps and folded block by block into a running
     product, in path order or (``reverse``) anti-path order, each in the
     interaction frame of C, exp(i*C*t_n) R_n exp(-i*C*t_n) with t_n its
-    midpoint's offset in the order of the product.  exp(-i*C*span) times that
+    midpoint's offset in the order of the product: row 2 of R_n times
+    exp(i*c*t_n), column 2 times its conjugate.  exp(-i*C*span) times that
     product is Strang's split prod_n exp(-i*C*dt/2) R_n exp(-i*C*dt/2) (SIAM
     J. Numer. Anal. 5, 506 (1968)), with each step's frame phase rounded once.
     """
     if not math.isfinite(detuning_hz):
         raise NumericPreconditionError(f"detuning_hz = {detuning_hz!r} is not finite")
-    const_diag = (0.0, 0.0, TWO_PI * detuning_hz)
-    if quadratic_mass is not None:
-        if not 0.0 < quadratic_mass < math.inf:  # also refuses NaN
-            raise NumericPreconditionError(
-                f"quadratic_mass = {quadratic_mass!r} is not positive and finite"
-            )
-        shift = _quadratic_diagonal_shift(sampling.field.magnitude, params, quadratic_mass)
-        const_diag = tuple(c + s for c, s in zip(const_diag, shift))
+    c = TWO_PI * float(detuning_hz)  # a numpy scalar would overflow with a RuntimeWarning
     span, dt = sampling.t_end - sampling.t_start, sampling.dt
-    phases = [c * span for c in const_diag]
-    if not all(map(math.isfinite, phases)):
+    if not math.isfinite(c * span):
         raise NumericPreconditionError("constant diagonal phase C*span is not finite")
-    frame = [cmath.exp(-1j * p) for p in phases]  # exp(-i*C*span)
+    frame = (1.0, 1.0, cmath.exp(-1j * (c * span)))  # exp(-i*C*span)
     if sampling.trajectory.tilt == 0.0 or sampling.field.magnitude == 0.0:
         rate_z = _planar_rate_sum(sampling, params)
         return Propagator(diagonal=tuple(
@@ -393,14 +345,15 @@ def path_ordered_propagator(
         ))
     import numpy as np
 
-    gaps = np.subtract.outer(const_diag, const_diag)  # c_j - c_k
     product = np.eye(3, dtype=complex)
     for start in range(0, sampling.steps, _CHUNK_STEPS):
         stop = min(start + _CHUNK_STEPS, sampling.steps)
-        steps = _step_exponentials(_coupling_axes(sampling, params, start, stop), dt, const_diag)
-        if gaps.any():  # R_n[j, k] * exp(i*(c_j - c_k)*t_n)
+        steps = _step_exponentials(_coupling_axes(sampling, params, start, stop), dt, c)
+        if c:  # R_n[j, k] * exp(i*(c_j - c_k)*t_n)
             offsets = (np.arange(start, stop) + 0.5) * dt
-            steps *= np.exp(1j * np.multiply.outer(span - offsets if reverse else offsets, gaps))
+            turn = np.exp(1j * ((span - offsets if reverse else offsets) * c))[:, None]
+            steps[:, 2, :2] *= turn
+            steps[:, :2, 2] *= turn.conj()
         if reverse:
             product = product @ _ordered_product(steps[::-1])
         else:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 
 from .errors import NumericPreconditionError
-from .geometry import STATION_A_ANGLE, DiskTrajectory, FieldConfig, velocity
-from .geometry import position  # noqa: F401  (a benchmark tracer site)
+from .geometry import STATION_A_ANGLE, DiskTrajectory, FieldConfig
+from .geometry import position, velocity  # noqa: F401  (benchmark tracer sites)
 from .physics import C_LIGHT, HBAR, MU_B, TWO_PI, NVParameters
 from .physics import total_rectified_phase  # noqa: F401  (callers import it from here)
 
@@ -28,21 +28,6 @@ def _require_planar(traj: DiskTrajectory) -> None:
         raise NumericPreconditionError(
             "closed-form A-C phase requires an untilted (planar) trajectory"
         )
-
-
-def phase_rate(
-    t,
-    traj: DiskTrajectory,
-    cfg: FieldConfig,
-    params: NVParameters,
-):
-    """Instantaneous A-C phase accumulation rate (rad/s) on the |1> amplitude.
-
-    rate(t) = (g*mu_B/(hbar*c^2)) * (k x E) . v(t), which is E*v_y for the
-    field along +x: positive while the diamond moves in +y.  Vectorised over t.
-    """
-    _require_planar(traj)
-    return coupling_constant(params) * (velocity(traj, t)[..., 1] * cfg.magnitude)
 
 
 def segment_phase(

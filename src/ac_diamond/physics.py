@@ -36,13 +36,13 @@ class NVParameters:
     B_z: float = 0.0         # axial magnetic field, T
 
     def __post_init__(self):
-        if self.T2 <= 0.0:
+        if not self.T2 > 0.0:  # also refuses NaN, as do the three checks below
             raise ValueError("dephasing time T2 must be positive")
-        if self.g <= 0.0:
+        if not self.g > 0.0:
             raise ValueError("gyromagnetic factor g must be positive")
-        if self.B_z < 0.0:
+        if not self.B_z >= 0.0:
             raise ValueError("axial field B_z must be non-negative")
-        if self.R2E < 0.0:
+        if not self.R2E >= 0.0:
             raise ValueError("Stark coefficient R2E must be non-negative")
 
 

@@ -64,6 +64,8 @@ class EchoSchedule:
     def __post_init__(self):
         if not self.frequency > 0.0:
             raise ValueError("rotation frequency must be positive")
+        if not math.isfinite(self.readout_lag):
+            raise ValueError(f"readout lag {self.readout_lag!r} rad is not finite")
 
     @property
     def half_period(self) -> float:
@@ -73,25 +75,12 @@ class EchoSchedule:
     def duration(self) -> float:
         return self.intervals * self.half_period
 
-    def pi_pulse_count(self) -> int:
-        return self.intervals if self.refocus else 0
-
 
 def build_echo_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
     """Standard even schedule: 2n pi pulses at the station crossings k/(2f),
     k = 1..2n, with the final pi/2 (phase -lag) and readout at t = n/f."""
     n_int = integer_rotations(n)
     return EchoSchedule(n_int, f, 2 * n_int, lag)
-
-
-def odd_pulse_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
-    """Cancellation diagnostic: run for n - 1/2 rotations with 2n-1 pi pulses.
-
-    The odd interval count leaves exactly one uncancelled interval, so a
-    constant detuning delta survives as a residual phase 2*pi*delta/(2f).
-    """
-    n_int = integer_rotations(n)
-    return EchoSchedule(n_int, f, 2 * n_int - 1, lag)
 
 
 def strip_pi_pulses(schedule: EchoSchedule) -> EchoSchedule:
@@ -130,11 +119,6 @@ def _require_population(p1_values) -> None:
             raise ValueError(f"population out of range: {float(p1)!r}")
 
 
-def signal_probability(phi: float, lag: float, t_r: float, t2: float) -> float:
-    """Closed-form fluorescence signal 1/2*(1 + exp(-t_r/T2)*cos(phi - lag))."""
-    return 0.5 * (1.0 + math.exp(-t_r / t2) * math.cos(phi - lag))
-
-
 def optimal_readout_lag(phi_max: float) -> float:
     """Lag placing the fringe at quadrature at the top of the sweep:
     (phi_max - pi/2) mod pi, so |sin(phi_max - lag)| = 1."""
@@ -157,24 +141,23 @@ def simulate_run(
     mode: str = "closed_form",
     detuning_hz: float = 0.0,
     steps_per_interval: int = 20000,
-    quadratic_mass: float | None = None,
 ) -> RunResult:
     """Evolve one echo run and read out the |1> population.
 
     closed_form: one walk over the station grid (:func:`_closed_form_walk`)
-    evaluated at this field; requires planar motion and refuses a
-    ``quadratic_mass``, which it does not model.
+    evaluated at this field; requires planar motion.
 
     oracle: integrates the two intervals of one rotation with the path-ordered
     stepper, folds in their pi pulses, and applies that rotation's unitary to
     the n-th power to the pi/2-pulsed state; tolerates tilt.
     """
+    if not math.isfinite(TWO_PI * float(detuning_hz)):  # float(): no numpy overflow warning
+        raise NumericPreconditionError(
+            f"detuning_hz = {detuning_hz!r}: 2*pi*detuning_hz is not finite"
+        )
     if mode not in ("closed_form", "oracle"):
         raise ValueError(f"unknown simulation mode {mode!r}")
     if mode == "closed_form":
-        if quadratic_mass is not None:
-            raise ValueError("closed-form mode does not model quadratic_mass; "
-                             "use mode='oracle'")
         walk = _closed_form_walk(schedule, traj, field, params, detuning_hz)
         coherence = math.exp(-schedule.duration / params.T2)
         return RunResult(
@@ -185,9 +168,7 @@ def simulate_run(
             fringe_phase=walk[0] + walk[1] + walk[2],  # _echo_p1's total at scale 1
         )
     _validate_run_inputs(schedule, traj)
-    return _run_oracle(
-        schedule, traj, field, params, detuning_hz, steps_per_interval, quadratic_mass
-    )
+    return _run_oracle(schedule, traj, field, params, detuning_hz, steps_per_interval)
 
 
 def _closed_form_walk(schedule, traj, field, params, detuning_hz):
@@ -235,12 +216,10 @@ def _echo_p1(scales, walk, coherence) -> list[float]:
     return [0.5 * (1.0 + coherence * math.cos(total)) for total in totals]
 
 
-def _run_oracle(
-    schedule, traj, field, params, detuning_hz, steps_per_interval, quadratic_mass
-):
+def _run_oracle(schedule, traj, field, params, detuning_hz, steps_per_interval):
     import numpy as np
 
-    from .holonomy import PathSampling, SpinState, path_ordered_propagator, qubit_pulse
+    from .holonomy import PathSampling, path_ordered_propagator, qubit_pulse
 
     half = schedule.half_period
     coherence = math.exp(-schedule.duration / params.T2)
@@ -252,9 +231,7 @@ def _run_oracle(
     period = []
     for k in range(min(schedule.intervals, 2)):
         sampling = PathSampling(k * half, (k + 1) * half, steps_per_interval, traj, field)
-        u = path_ordered_propagator(
-            sampling, params, detuning_hz=detuning_hz, quadratic_mass=quadratic_mass
-        ).U
+        u = path_ordered_propagator(sampling, params, detuning_hz=detuning_hz).U
         period.append(pulse @ u)
     run = np.linalg.matrix_power(period[-1] @ period[0], schedule.intervals // 2)
     if schedule.intervals % 2:
@@ -263,10 +240,12 @@ def _run_oracle(
     # compounds that defect, so the run is replaced by its polar
     # (nearest-unitary) factor and the state keeps unit norm.
     w, _, vh = np.linalg.svd(run)
-    state = SpinState(w @ vh @ qubit_pulse(math.pi / 2.0, 0.0) @ SpinState.ground().amplitudes)
+    amps = (w @ vh @ qubit_pulse(math.pi / 2.0, 0.0))[:, 1]  # the pi/2-pulsed |0>
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if abs(norm_sq - 1.0) > 1e-12:
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
     # Dephasing damps the qubit coherence accumulated over the run, so it is
     # applied to the density matrix before the lagging readout pulse.
-    amps = state.amplitudes
     rho = np.outer(amps, amps.conj())
     rho[1, 2] *= coherence
     rho[2, 1] *= coherence

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from ac_diamond.config import AUTO_LAG, MAX_ROTATIONS, ExperimentConfig, load_config
+from ac_diamond.config import (
+    AUTO_LAG,
+    MAX_ROTATIONS,
+    ExperimentConfig,
+    integer_rotations,
+    load_config,
+)
 from ac_diamond.errors import ConfigError
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
@@ -138,6 +144,13 @@ class TestConstraints:
         for n in (MAX_ROTATIONS + 1, math.nextafter(MAX_ROTATIONS, math.inf)):
             with pytest.raises(ConfigError, match="'n' must be at most"):
                 ExperimentConfig(n=n)
+
+    @pytest.mark.parametrize("n", [math.nan, -math.inf, math.inf])
+    def test_integer_rotations_refuses_non_finite_by_name(self, n):
+        # NaN and -inf used to end in round()'s bare "cannot convert float
+        # NaN to integer" and OverflowError
+        with pytest.raises(ValueError, match="rotation count"):
+            integer_rotations(n)
 
 
 class TestShippedConfigs:

@@ -78,3 +78,82 @@ def test_checker_finds_unused_names_per_scope():
         "    return np\n"
     )
     assert unused_imports(source) == [(3, "os"), (4, "a"), (7, "np")]
+
+
+ROOT = PACKAGE.parents[1]
+CALLER_SOURCES = [*(path for folder in ("src", "scripts", "perfbench")
+                    for path in sorted((ROOT / folder).rglob("*.py"))),
+                  ROOT / "tests" / "test_acceptance.py"]
+
+
+def public_definitions(source):
+    """(name, first line, last line) of every public top-level function,
+    class and constant of a module, and every public method of its classes;
+    a definition's lines include its decorators."""
+    found = []
+
+    def add(name, node):
+        if not name.startswith("_"):
+            first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+            found.append((name, first, node.end_lineno))
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            add(node.name, node)
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    add(member.name, member)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            add(node.name, node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    add(target.id, node)
+    return found
+
+
+def uncalled(source, others):
+    """Public names of a module's ``source`` that appear as a whole word
+    neither in the texts ``others`` nor in the module outside their own
+    definition."""
+    found = []
+    for name, first, last in public_definitions(source):
+        own = source.splitlines()
+        del own[first - 1 : last]
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(text) for text in ["\n".join(own), *others]):
+            found.append(name)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # src/, scripts/, perfbench/ and the acceptance tests are the callers; a
+    # name only the unit tests reach belongs in those tests, as a reference
+    texts = {path: path.read_text(encoding="utf-8") for path in CALLER_SOURCES}
+    uncalled_names = [
+        f"{module.stem}.{name}"
+        for module in MODULES
+        for name in uncalled(texts[module], [t for p, t in texts.items() if p != module])
+    ]
+    assert uncalled_names == []
+
+
+def test_caller_check_skips_each_name_own_definition():
+    source = (
+        "LIMIT = 3\n"
+        "def used():\n"
+        "    return LIMIT\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "class Record:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 0\n"
+        "    def _hidden(self):\n"
+        "        return 1\n"
+    )
+    assert public_definitions(source) == [
+        ("LIMIT", 1, 1), ("used", 2, 3), ("recursive", 4, 5), ("Record", 6, 11), ("size", 7, 9),
+    ]
+    assert uncalled(source, ["used()"]) == ["recursive", "Record", "size"]

@@ -21,8 +21,8 @@ from ac_diamond.physics import (
     sensitivity_report,
 )
 from ac_diamond.sequence import (
+    EchoSchedule,
     build_echo_schedule,
-    odd_pulse_schedule,
     optimal_readout_lag,
     simulate_run,
 )
@@ -159,7 +159,7 @@ class TestMonteCarlo:
     def test_odd_pi_count_spread_uses_the_true_fringe_slope(self):
         # after an odd pi count the fringe is 1/2*(1 - coh*cos(phi + lag)), so
         # its slope is not -1/2*coh*sin(phi - lag) (here -0.2302 against -0.1618)
-        schedule = odd_pulse_schedule(4, FREQ, 0.7)
+        schedule = EchoSchedule(4, FREQ, 7, 0.7)  # 2n - 1 intervals
         e_bias, de = 1.2e7, 1.2e3
         lo, hi = (
             simulate_run(schedule, TRAJ, FieldConfig(magnitude=e), PARAMS)

@@ -1,4 +1,4 @@
-"""Tests for the closed-form A-C phase: rate, segments, rectified total."""
+"""Tests for the closed-form A-C phase: segments and the rectified total."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ac_diamond.errors import NumericPreconditionError
-from ac_diamond.geometry import DiskTrajectory, FieldConfig, position, station_trajectory
+from ac_diamond.geometry import (
+    DiskTrajectory,
+    FieldConfig,
+    position,
+    station_trajectory,
+    velocity,
+)
 from ac_diamond.phase import (
     coupling_constant,
-    phase_rate,
     segment_phase,
     total_rectified_phase,
 )
@@ -25,44 +30,6 @@ PARAMS = NVParameters()
 TRAJ = station_trajectory(0.01, 4000.0)
 FIELD = FieldConfig(magnitude=3e7)
 HALF = 1.0 / (2.0 * 4000.0)
-
-
-class TestPhaseRate:
-    def test_zero_at_y_extremes(self):
-        # stations sit at the y extremes where v_y = 0
-        assert abs(phase_rate(0.0, TRAJ, FIELD, PARAMS)) < 1e-9
-        assert abs(phase_rate(HALF, TRAJ, FIELD, PARAMS)) < 1e-9
-
-    def test_peak_rate_value(self):
-        # fastest +y motion happens a quarter period after station A
-        rate = phase_rate(HALF / 2.0, TRAJ, FIELD, PARAMS)
-        expected = COEF_ORACLE * 3e7 * 2.0 * np.pi * 4000.0 * 0.01
-        assert rate == pytest.approx(expected, rel=1e-12)
-        assert rate == pytest.approx(1.4755e4, rel=1e-4)
-
-    def test_linear_in_field(self):
-        t = 4.2e-5
-        single = phase_rate(t, TRAJ, FIELD, PARAMS)
-        double = phase_rate(t, TRAJ, FieldConfig(magnitude=6e7), PARAMS)
-        assert double == pytest.approx(2.0 * single, rel=1e-12)
-
-    def test_rejects_tilt(self):
-        tilted = station_trajectory(0.01, 4000.0, tilt=0.1)
-        with pytest.raises(NumericPreconditionError):
-            phase_rate(0.0, tilted, FIELD, PARAMS)
-
-    def test_sign_flips_with_rotation_sense(self):
-        # both senses leave station A moving +y; compare them where they pass
-        # the same rim point (+r, 0) at full speed: a quarter period after
-        # station A counterclockwise, three quarters clockwise
-        ccw = DiskTrajectory(radius=0.01, frequency=4000.0)
-        cw = DiskTrajectory(radius=0.01, frequency=-4000.0)
-        quarter = HALF / 2.0
-        assert np.allclose(position(ccw, quarter), position(cw, 3.0 * quarter), atol=1e-15)
-        r1 = phase_rate(quarter, ccw, FIELD, PARAMS)
-        r2 = phase_rate(3.0 * quarter, cw, FIELD, PARAMS)
-        assert r1 > 0.0 and r2 < 0.0
-        assert r1 == pytest.approx(-r2, rel=1e-12)
 
 
 class TestSegmentPhase:
@@ -83,9 +50,9 @@ class TestSegmentPhase:
         assert segment_phase(0.0, HALF, TRAJ, FIELD, PARAMS) > 0.0
 
     def test_quadrature_oracle(self):
-        # adaptive quadrature of the rate reproduces the endpoint formula
+        # adaptive quadrature of the rate k*E*v_y reproduces the endpoint formula
         def rate(t):
-            return phase_rate(t, TRAJ, FIELD, PARAMS)
+            return coupling_constant(PARAMS) * (FIELD.magnitude * velocity(TRAJ, t)[..., 1])
 
         for t0, t1 in [(0.0, HALF), (1.3e-5, 2.1e-4), (0.0, 3.3e-4)]:
             numeric, _ = quad(rate, t0, t1, epsabs=1e-13, epsrel=1e-12, limit=200)

@@ -22,9 +22,7 @@ from ac_diamond.sequence import (
     build_echo_schedule,
     fringe_zero_crossings,
     linear_grid,
-    odd_pulse_schedule,
     optimal_readout_lag,
-    signal_probability,
     simulate_run,
     strip_pi_pulses,
     sweep_signal,
@@ -44,6 +42,12 @@ FIELD = FieldConfig(magnitude=3e7)
 E0_PHI10 = 18249962.499985337
 
 
+def odd_schedule(n, f, lag=0.0):
+    """Cancellation diagnostic: n - 1/2 rotations with 2n - 1 pi pulses, whose
+    one uncancelled interval keeps a detuning delta as the phase 2*pi*delta/(2f)."""
+    return EchoSchedule(n, f, 2 * n - 1, lag)
+
+
 def static_phase(detuning, sched):
     """Residual non-A-C phase at readout of a closed-form run."""
     return simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=detuning).static_phase
@@ -57,9 +61,6 @@ class TestBuildEchoSchedule:
         assert sched.half_period == pytest.approx(125e-6, rel=1e-12)
         assert sched.intervals == 2
         assert sched.duration == pytest.approx(250e-6, rel=1e-12)
-
-    def test_pi_pulse_count(self):
-        assert build_echo_schedule(3, FREQ).pi_pulse_count() == 6
 
     def test_run_duration(self):
         assert build_echo_schedule(7, FREQ).duration == pytest.approx(
@@ -75,7 +76,7 @@ class TestBuildEchoSchedule:
         # lagging final pulse enters the rotation with phase -lag
         assert _closed_form_walk(sched, TRAJ, FIELD, PARAMS, 0.0)[2] == -0.3
         control = strip_pi_pulses(sched)
-        assert not control.refocus and control.pi_pulse_count() == 0
+        assert not control.refocus
         assert control.duration == sched.duration
 
     @pytest.mark.parametrize("bad_n", [0, -1, 2.5])
@@ -90,9 +91,16 @@ class TestBuildEchoSchedule:
             with pytest.raises(ValueError, match="positive"):
                 EchoSchedule(n_rotations=1, frequency=f, intervals=2, readout_lag=0.0)
 
+    @pytest.mark.parametrize("lag", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lag_by_name(self, lag):
+        # a NaN lag used to be accepted and to end the run in "closed-form
+        # phase nan rad is not resolved", which names no argument
+        with pytest.raises(ValueError, match="readout lag"):
+            build_echo_schedule(3, FREQ, lag)
+
     def test_odd_schedule_counts(self):
-        sched = odd_pulse_schedule(5, FREQ)
-        assert sched.pi_pulse_count() == 9
+        sched = odd_schedule(5, FREQ)
+        assert sched.intervals == 9
         assert sched.duration == pytest.approx(9.0 / (2.0 * FREQ), rel=1e-12)
 
 
@@ -109,9 +117,8 @@ class TestSimulateRunClosedForm:
         sched = build_echo_schedule(7, FREQ, lag)
         run = simulate_run(sched, TRAJ, FIELD, PARAMS)
         phi = total_rectified_phase(RADIUS, 3e7, 7, PARAMS.g)
-        assert run.p1 == pytest.approx(
-            signal_probability(phi, lag, sched.duration, PARAMS.T2), abs=1e-12
-        )
+        envelope = math.exp(-sched.duration / PARAMS.T2)
+        assert run.p1 == pytest.approx(0.5 * (1.0 + envelope * math.cos(phi - lag)), abs=1e-12)
         assert run.ac_phase == pytest.approx(phi, rel=1e-12)
 
     def test_rejects_tilted_trajectory(self):
@@ -134,12 +141,15 @@ class TestSimulateRunClosedForm:
         with pytest.raises(ValueError, match="disagree on rotation frequency"):
             simulate_run(sched, traj, FIELD, PARAMS, mode=mode, steps_per_interval=200)
 
-    @pytest.mark.parametrize("mass", [1e-32, 0.0])
-    def test_closed_form_refuses_a_quadratic_mass(self, mass):
-        # the oracle's p1 moves by ~5e-5 at 1e-32; the closed form ignored it
-        sched = odd_pulse_schedule(3, FREQ, 0.3)
-        with pytest.raises(ValueError, match="quadratic_mass"):
-            simulate_run(sched, TRAJ, FIELD, PARAMS, quadratic_mass=mass)
+    @pytest.mark.parametrize("detuning", [math.inf, -math.inf, math.nan, 1e308, np.float64(1e308)])
+    @pytest.mark.parametrize("mode", ["closed_form", "oracle"])
+    def test_non_finite_detuning_refused_by_name(self, mode, detuning):
+        # 2*pi*1e308 overflows; the closed form used to report each of these
+        # as an unresolved phase, and the oracle 1e308 as "C*span is not finite"
+        sched = build_echo_schedule(2, FREQ, 0.3)
+        with pytest.raises(NumericPreconditionError, match="detuning_hz"):
+            simulate_run(sched, TRAJ, FIELD, PARAMS, mode=mode, detuning_hz=detuning,
+                         steps_per_interval=200)
 
     def test_envelope_scales_fringe_only(self):
         lag = 0.4
@@ -204,7 +214,7 @@ class TestOracleAgreement:
     def test_odd_schedule_oracle_keeps_the_uncancelled_tick(self):
         # 2n-1 intervals leave one detuning tick 2*pi*delta*h = pi/4 at 1 kHz,
         # and the odd pi-pulse count swaps |0> and |1> at readout
-        sched = odd_pulse_schedule(2, FREQ, 0.3)
+        sched = odd_schedule(2, FREQ, 0.3)
         closed = simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=1e3)
         oracle = simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle",
                               detuning_hz=1e3, steps_per_interval=30000)
@@ -224,14 +234,6 @@ class TestOracleAgreement:
         assert abs(closed.ac_phase) < 1e-9
         assert oracle.p1 == pytest.approx(closed.p1, abs=1e-7)
 
-    def test_quadratic_terms_cancelled_by_echo(self):
-        sched = build_echo_schedule(2, FREQ, 0.3)
-        base = simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle",
-                            steps_per_interval=20000)
-        shifted = simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle",
-                               steps_per_interval=20000, quadratic_mass=2e-26)
-        assert shifted.p1 == pytest.approx(base.p1, abs=1e-9)
-
     def test_unknown_mode_rejected(self):
         sched = build_echo_schedule(1, FREQ)
         with pytest.raises(ValueError):
@@ -245,22 +247,20 @@ class TestOracleAgreement:
 
 
 def per_interval_oracle(schedule, traj, field, params, detuning_hz=0.0,
-                        steps_per_interval=20000, quadratic_mass=None):
+                        steps_per_interval=20000):
     """(p1, ac_phase) of an oracle run that integrates every interval of the
     schedule afresh: the reference for the oracle's reuse of one rotation."""
     half = schedule.half_period
-    state = holonomy.SpinState(holonomy.qubit_pulse(math.pi / 2.0, 0.0)[:, 1])
+    amps = holonomy.qubit_pulse(math.pi / 2.0, 0.0)[:, 1]
     for k in range(1, schedule.intervals + 1):
         sampling = holonomy.PathSampling((k - 1) * half, k * half, steps_per_interval,
                                          traj, field)
-        u = holonomy.path_ordered_propagator(
-            sampling, params, detuning_hz=detuning_hz, quadratic_mass=quadratic_mass).U
+        u = holonomy.path_ordered_propagator(sampling, params, detuning_hz=detuning_hz).U
         w, _, vh = np.linalg.svd(u)
-        state = holonomy.SpinState(w @ vh @ state.amplitudes)
+        amps = w @ vh @ amps
         if schedule.refocus:
-            state = holonomy.SpinState(holonomy.qubit_pulse(math.pi, 0.0) @ state.amplitudes)
+            amps = holonomy.qubit_pulse(math.pi, 0.0) @ amps
     coherence = math.exp(-schedule.duration / params.T2)
-    amps = state.amplitudes
     rho = np.outer(amps, amps.conj())
     rho[1, 2] *= coherence
     rho[2, 1] *= coherence
@@ -278,12 +278,10 @@ class TestOracleReusesOneRotation:
         (build_echo_schedule(7, FREQ, 0.3), TRAJ, {}),
         (build_echo_schedule(7, FREQ, 0.3), TILTED_TRAJ, {}),
         (build_echo_schedule(3, FREQ, 0.3), TILTED_TRAJ, {"detuning_hz": 1e4}),
-        (build_echo_schedule(3, FREQ, 0.3), TILTED_TRAJ, {"quadratic_mass": 2e-26}),
-        (odd_pulse_schedule(3, FREQ, 0.3), TILTED_TRAJ, {"detuning_hz": 1e3}),
+        (odd_schedule(3, FREQ, 0.3), TILTED_TRAJ, {"detuning_hz": 1e3}),
         (strip_pi_pulses(build_echo_schedule(3, FREQ, 0.3)), TILTED_TRAJ,
          {"detuning_hz": 1e3}),
-    ], ids=["planar", "tilted", "detuned", "quadratic-mass", "odd-schedule",
-            "no-pi-pulses"])
+    ], ids=["planar", "tilted", "detuned", "odd-schedule", "no-pi-pulses"])
     def test_matches_the_per_interval_integration(self, sched, traj, kwargs):
         run = simulate_run(sched, traj, FIELD, PARAMS, mode="oracle",
                            steps_per_interval=2000, **kwargs)
@@ -293,7 +291,7 @@ class TestOracleReusesOneRotation:
         assert abs(run.ac_phase - ac_phase) <= 1e-14
 
     @pytest.mark.parametrize("sched, built", [
-        (odd_pulse_schedule(1, FREQ), 1),
+        (odd_schedule(1, FREQ), 1),
         (build_echo_schedule(1, FREQ), 2),
         (build_echo_schedule(7, FREQ), 2),
         (build_echo_schedule(20, FREQ), 2),
@@ -336,10 +334,10 @@ class TestOracleAsOneUnitary:
         assert abs(oracle.p1 - closed.p1) <= 1e-14
 
     @pytest.mark.parametrize("sched", [
-        odd_pulse_schedule(1, FREQ),
+        odd_schedule(1, FREQ),
         build_echo_schedule(1, FREQ),
         build_echo_schedule(7, FREQ),
-        odd_pulse_schedule(3, FREQ),
+        odd_schedule(3, FREQ),
         strip_pi_pulses(build_echo_schedule(3, FREQ)),
     ], ids=["one-interval", "n1", "n7", "odd-schedule", "no-pi-pulses"])
     def test_takes_one_polar_factor(self, sched, monkeypatch):
@@ -368,7 +366,7 @@ class TestEchoCancellation:
 
     def test_odd_schedule_leaves_one_interval(self):
         detuning = 1e6
-        sched = odd_pulse_schedule(5, FREQ)
+        sched = odd_schedule(5, FREQ)
         residual = static_phase(detuning, sched)
         expected = 2.0 * math.pi * detuning / (2.0 * FREQ)
         assert abs(residual) == pytest.approx(expected, rel=1e-12)
