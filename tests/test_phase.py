@@ -32,6 +32,51 @@ FIELD = FieldConfig(magnitude=3e7)
 HALF = 1.0 / (2.0 * 4000.0)
 
 
+def window_rate(t, traj=TRAJ, field=FIELD, h=1e-9):
+    """The phase rate k*E*v_y at t, read off segment_phase over [t - h, t + h]."""
+    return segment_phase(t - h, t + h, traj, field, PARAMS) / (2.0 * h)
+
+
+class TestPhaseRate:
+    def test_zero_at_y_extremes(self):
+        # stations sit at the y extremes where v_y = 0
+        peak = abs(window_rate(HALF / 2.0, h=1e-6))
+        for t in (0.0, HALF):
+            assert abs(velocity(TRAJ, t)[..., 1]) < 1e-12
+            assert abs(window_rate(t, h=1e-6)) < 1e-12 * peak
+
+    def test_peak_rate_value(self):
+        # fastest +y motion happens a quarter period after station A
+        rate = window_rate(HALF / 2.0)
+        expected = COEF_ORACLE * 3e7 * 2.0 * np.pi * 4000.0 * 0.01
+        assert rate == pytest.approx(expected, rel=1e-9)
+        assert rate == pytest.approx(1.4755e4, rel=1e-4)
+
+    def test_linear_in_field(self):
+        t = 4.2e-5
+        single = window_rate(t)
+        double = window_rate(t, field=FieldConfig(magnitude=6e7))
+        assert double == pytest.approx(2.0 * single, rel=1e-12)
+
+    def test_rejects_tilt(self):
+        tilted = station_trajectory(0.01, 4000.0, tilt=0.1)
+        with pytest.raises(NumericPreconditionError, match="untilted"):
+            window_rate(0.0, traj=tilted)
+
+    def test_sign_flips_with_rotation_sense(self):
+        # both senses leave station A moving +y; compare them where they pass
+        # the same rim point (+r, 0) at full speed: a quarter period after
+        # station A counterclockwise, three quarters clockwise
+        ccw = DiskTrajectory(radius=0.01, frequency=4000.0)
+        cw = DiskTrajectory(radius=0.01, frequency=-4000.0)
+        quarter = HALF / 2.0
+        assert np.allclose(position(ccw, quarter), position(cw, 3.0 * quarter), atol=1e-15)
+        r1 = window_rate(quarter, traj=ccw)
+        r2 = window_rate(3.0 * quarter, traj=cw)
+        assert r1 > 0.0 and r2 < 0.0
+        assert r1 == pytest.approx(-r2, rel=1e-9)
+
+
 class TestSegmentPhase:
     def test_half_rotation_value(self):
         seg = segment_phase(0.0, HALF, TRAJ, FIELD, PARAMS)
