@@ -20,10 +20,11 @@ MAX_ROTATIONS = 10_000  # a schedule fires 2n pi pulses and the walk 2n segments
 def integer_rotations(n) -> int:
     """The rotation count n as an int; schedules need a positive integer of at
     most ``MAX_ROTATIONS``."""
+    # float(True) is one rotation, and round() raises a bare error on NaN or inf
+    if isinstance(n, bool) or not math.isfinite(float(n)):
+        raise ValueError(f"rotation count n = {n!r} is not a finite number")
     if float(n) > MAX_ROTATIONS:
         raise ValueError(f"rotation count {n!r} exceeds the cap of {MAX_ROTATIONS}")
-    if not math.isfinite(float(n)):  # round() raises a bare error on NaN or -inf
-        raise ValueError(f"rotation count n = {n!r} is not finite")
     n_int = int(round(float(n)))
     if abs(float(n) - n_int) > 1e-12 or n_int < 1:
         raise ValueError(

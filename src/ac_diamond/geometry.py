@@ -34,10 +34,10 @@ class DiskTrajectory:
     tilt: float = 0.0
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("disk radius must be positive")
-        if self.frequency == 0.0:
-            raise ValueError("rotation frequency must be nonzero")
+        if not self.radius > 0.0:  # also refuses NaN, as does the check below
+            raise ValueError(f"disk radius {self.radius!r} m must be positive")
+        if not abs(self.frequency) > 0.0:
+            raise ValueError(f"rotation frequency {self.frequency!r} Hz is zero or NaN")
         # Python floats: an overflow gives inf here, never a numpy error
         f, r = abs(float(self.frequency)), float(self.radius)
         if not math.isfinite(1.0 / f):
@@ -104,8 +104,8 @@ class FieldConfig:
     magnitude: float
 
     def __post_init__(self):
-        if self.magnitude < 0.0:
-            raise ValueError("field magnitude must be non-negative")
+        if not self.magnitude >= 0.0:  # also refuses NaN
+            raise ValueError(f"field magnitude {self.magnitude!r} V/m must be non-negative")
 
 
 # every trajectory starts at station A, so station-aligned motion needs no helper

@@ -73,7 +73,7 @@ def monte_carlo_experiment(
     )
     phi_bias = run.ac_phase
     # dp1/dphi at the bias point; the envelope multiplies the fringe amplitude
-    # and the fringe phase carries the final pulse of an even or odd pi count.
+    # and the fringe phase carries the lagging final pulse.
     slope = -0.5 * run.coherence * math.sin(run.fringe_phase)
     if abs(slope) < 1e-12:
         raise NumericPreconditionError(

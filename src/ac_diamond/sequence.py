@@ -5,7 +5,7 @@ at every station crossing (twice per rotation, which rectifies the otherwise
 sign-alternating A-C phase and cancels any static precession), and after n full
 rotations a final pi/2 pulse whose phase lags the earlier pulses by ``lag``,
 followed by fluorescence readout.  All pulses are instantaneous and land on
-the station grid k/(2f) that an :class:`EchoSchedule` stores.
+the station grid k/(2f), k = 1..2n, that an :class:`EchoSchedule` describes.
 
 Closed-form signal contract (confirmed against the matrix/ODE oracle by the
 test suite):
@@ -47,25 +47,29 @@ FRINGE_SNAP = 1e-10  # p1 this close to 1/2 counts as on the fringe zero
 
 @dataclass(frozen=True)
 class EchoSchedule:
-    """The station grid of one run: ``intervals`` half periods h = 1/(2f).
-
-    Pump and pi/2 at t = 0, a pi pulse at each crossing k*h, k = 1..intervals
-    (if ``refocus``), then the final pi/2, lagging by ``readout_lag``, and the
-    readout at t_r = ``duration`` = intervals*h.  The rectified phase counts
-    ``n_rotations``.
+    """The station grid of n = ``n_rotations`` whole rotations, or ``intervals``
+    = 2n half periods h = 1/(2f): pump and pi/2 at t = 0, a pi pulse at each
+    crossing k*h, k = 1..2n (if ``refocus``), then the final pi/2, lagging by
+    ``readout_lag``, and the readout at t_r = ``duration`` = 2n*h.
     """
 
     n_rotations: int
     frequency: float
-    intervals: int
     readout_lag: float
     refocus: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "n_rotations", integer_rotations(self.n_rotations))
         if not self.frequency > 0.0:
             raise ValueError("rotation frequency must be positive")
         if not math.isfinite(self.readout_lag):
             raise ValueError(f"readout lag {self.readout_lag!r} rad is not finite")
+        if not isinstance(self.refocus, bool):
+            raise ValueError(f"refocus must be True or False, got {self.refocus!r}")
+
+    @property
+    def intervals(self) -> int:
+        return 2 * self.n_rotations
 
     @property
     def half_period(self) -> float:
@@ -77,10 +81,9 @@ class EchoSchedule:
 
 
 def build_echo_schedule(n, f: float, lag: float = 0.0) -> EchoSchedule:
-    """Standard even schedule: 2n pi pulses at the station crossings k/(2f),
+    """Standard schedule: 2n pi pulses at the station crossings k/(2f),
     k = 1..2n, with the final pi/2 (phase -lag) and readout at t = n/f."""
-    n_int = integer_rotations(n)
-    return EchoSchedule(n_int, f, 2 * n_int, lag)
+    return EchoSchedule(n, f, lag)
 
 
 def strip_pi_pulses(schedule: EchoSchedule) -> EchoSchedule:
@@ -97,8 +100,8 @@ class RunResult:
     relative coherence phase (A-C plus detuning) in oracle mode.
     ``static_phase`` is the net non-A-C (detuning) phase at readout; it is
     tracked exactly by the closed form and None in oracle mode.
-    ``fringe_phase`` is the closed form's cosine argument, so that
-    p1 = 1/2*(1 + coherence*cos(fringe_phase)); None in oracle mode.
+    ``fringe_phase``, ac_phase + static_phase - readout_lag, is the closed form's
+    cosine argument: p1 = 1/2*(1 + coherence*cos(fringe_phase)); None in oracle mode.
     """
 
     p1: float
@@ -144,7 +147,7 @@ def simulate_run(
 ) -> RunResult:
     """Evolve one echo run and read out the |1> population.
 
-    closed_form: one walk over the station grid (:func:`_closed_form_walk`)
+    closed_form: one walk over the 2n intervals (:func:`_closed_form_walk`)
     evaluated at this field; requires planar motion.
 
     oracle: integrates the two intervals of one rotation with the path-ordered
@@ -172,11 +175,11 @@ def simulate_run(
 
 
 def _closed_form_walk(schedule, traj, field, params, detuning_hz):
-    """Walk the station grid once and return (phi, static_phase, final_phase).
+    """Walk the station grid once and return (phi, static_phase, -readout_lag).
 
     phi sums the per-interval A-C segment phases at ``field``, flipping the
     bookkeeping sign at each pi pulse.  Every interval is one half period, so
-    the detuning phase is one tick per interval and the even-pulse echo
+    the detuning phase is one tick per interval and the 2n-pulse echo
     cancellation is exact.  phi is linear in the field magnitude: a sweep
     walks once at unit magnitude and scales phi by each E in
     :func:`_echo_p1`, a single run walks at its own field.
@@ -192,8 +195,6 @@ def _closed_form_walk(schedule, traj, field, params, detuning_hz):
         static_total += sign * tick_phase
         if schedule.refocus:
             sign = -sign
-    if sign < 0.0:  # odd pi count swaps |0>, |1>: p1 = 1/2*(1 - cos(phi + lag))
-        return ac_total, static_total, schedule.readout_lag + math.pi
     return ac_total, static_total, -schedule.readout_lag
 
 
@@ -225,17 +226,14 @@ def _run_oracle(schedule, traj, field, params, detuning_hz, steps_per_interval):
     coherence = math.exp(-schedule.duration / params.T2)
     # The velocity has period 2h, so interval k + 2 has interval k's
     # propagator: only the first two intervals are integrated, each followed
-    # by its pi pulse, and the run is their rotation raised to the power
-    # intervals // 2, then the first interval once more if the count is odd.
+    # by its pi pulse, and the run is their rotation raised to the n-th power.
     pulse = qubit_pulse(math.pi, 0.0) if schedule.refocus else np.eye(3)
     period = []
-    for k in range(min(schedule.intervals, 2)):
+    for k in range(2):
         sampling = PathSampling(k * half, (k + 1) * half, steps_per_interval, traj, field)
         u = path_ordered_propagator(sampling, params, detuning_hz=detuning_hz).U
         period.append(pulse @ u)
-    run = np.linalg.matrix_power(period[-1] @ period[0], schedule.intervals // 2)
-    if schedule.intervals % 2:
-        run = period[0] @ run
+    run = np.linalg.matrix_power(period[1] @ period[0], schedule.n_rotations)
     # Each closed-form step is unitary only to rounding, and the power
     # compounds that defect, so the run is replaced by its polar
     # (nearest-unitary) factor and the state keeps unit norm.

@@ -1,5 +1,6 @@
 """Tests for the disk trajectory, field map, and station angle."""
 
+import math
 import re
 
 import numpy as np
@@ -41,6 +42,21 @@ class TestPosition:
             DiskTrajectory(radius=0.0, frequency=1.0)
         with pytest.raises(ValueError):
             DiskTrajectory(radius=1.0, frequency=0.0)
+
+    @pytest.mark.parametrize("record, kwargs, named", [
+        (DiskTrajectory, {"radius": math.nan, "frequency": 1.0},
+         "disk radius nan m must be positive"),
+        (DiskTrajectory, {"radius": 1.0, "frequency": math.nan},
+         "rotation frequency nan Hz is zero or NaN"),
+        (FieldConfig, {"magnitude": math.nan},
+         "field magnitude nan V/m must be non-negative"),
+    ], ids=["radius", "frequency", "field"])
+    def test_nan_refused_by_name(self, record, kwargs, named):
+        # a NaN radius was refused as "too large", a NaN frequency as "too
+        # small", and a NaN field magnitude was accepted
+        with pytest.raises(ValueError, match=re.escape(named)) as refused:
+            record(**kwargs)
+        assert type(refused.value) is ValueError
 
     @pytest.mark.parametrize(
         "radius, frequency, named",

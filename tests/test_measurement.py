@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from ac_diamond.errors import NumericPreconditionError
-from ac_diamond.geometry import FieldConfig, station_trajectory
+from ac_diamond.geometry import station_trajectory
 from ac_diamond.measurement import (
     POISSON_LAM_MAX,
     PhaseEstimate,
@@ -21,10 +21,8 @@ from ac_diamond.physics import (
     sensitivity_report,
 )
 from ac_diamond.sequence import (
-    EchoSchedule,
     build_echo_schedule,
     optimal_readout_lag,
-    simulate_run,
 )
 
 FREQ = 4000.0
@@ -155,26 +153,6 @@ class TestMonteCarlo:
         envelope = math.exp(-SCHEDULE.duration / PARAMS.T2)
         predicted = 1.0 / (contrast(MODEL) * envelope)
         assert est.per_shot_std == pytest.approx(predicted, rel=0.1)
-
-    def test_odd_pi_count_spread_uses_the_true_fringe_slope(self):
-        # after an odd pi count the fringe is 1/2*(1 - coh*cos(phi + lag)), so
-        # its slope is not -1/2*coh*sin(phi - lag) (here -0.2302 against -0.1618)
-        schedule = EchoSchedule(4, FREQ, 7, 0.7)  # 2n - 1 intervals
-        e_bias, de = 1.2e7, 1.2e3
-        lo, hi = (
-            simulate_run(schedule, TRAJ, FieldConfig(magnitude=e), PARAMS)
-            for e in (e_bias - de, e_bias + de)
-        )
-        slope = (hi.p1 - lo.p1) / (hi.ac_phase - lo.ac_phase)
-        assert slope == pytest.approx(-0.2302, abs=1e-4)
-        est = monte_carlo_experiment(e_bias, schedule, TRAJ, PARAMS, MODEL, 40000, 41)
-        # spread of the count-based p1 estimate, over |dp1/dphi|
-        p1 = simulate_run(schedule, TRAJ, FieldConfig(magnitude=e_bias), PARAMS).p1
-        a0, a1 = MODEL.alpha0, MODEL.alpha1
-        count_var = p1 * a1 + (1.0 - p1) * a0 + p1 * (1.0 - p1) * (a0 - a1) ** 2
-        predicted = math.sqrt(count_var) / (a0 - a1) / abs(slope)
-        # (the even-count slope would make the spread 1.42x too large)
-        assert est.per_shot_std == pytest.approx(predicted, rel=0.05)
 
     def test_zero_slope_bias_rejected(self):
         flat_schedule = build_echo_schedule(7, FREQ, 0.0)

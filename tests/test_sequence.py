@@ -42,12 +42,6 @@ FIELD = FieldConfig(magnitude=3e7)
 E0_PHI10 = 18249962.499985337
 
 
-def odd_schedule(n, f, lag=0.0):
-    """Cancellation diagnostic: n - 1/2 rotations with 2n - 1 pi pulses, whose
-    one uncancelled interval keeps a detuning delta as the phase 2*pi*delta/(2f)."""
-    return EchoSchedule(n, f, 2 * n - 1, lag)
-
-
 def static_phase(detuning, sched):
     """Residual non-A-C phase at readout of a closed-form run."""
     return simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=detuning).static_phase
@@ -79,17 +73,37 @@ class TestBuildEchoSchedule:
         assert not control.refocus
         assert control.duration == sched.duration
 
-    @pytest.mark.parametrize("bad_n", [0, -1, 2.5])
+    @pytest.mark.parametrize("bad_n", [0, -1, 2.5, True, math.nan, MAX_ROTATIONS + 1])
     def test_rejects_non_integer_rotations(self, bad_n):
-        with pytest.raises(ValueError):
+        # the record refuses the count before either mode runs; a count of 0
+        # used to end an oracle run in a bare IndexError, -1 a closed-form run
+        # in "population out of range", and 2.5 ran with 5 intervals
+        with pytest.raises(ValueError, match="rotation count"):
+            EchoSchedule(bad_n, FREQ, 0.3)
+        with pytest.raises(ValueError, match="rotation count"):
             build_echo_schedule(bad_n, FREQ)
+
+    @pytest.mark.parametrize("n", [3, 3.0, np.int64(3)], ids=["int", "float", "numpy-int"])
+    def test_stores_the_rotation_count_as_an_int(self, n):
+        sched = EchoSchedule(n, FREQ, 0.3)
+        assert type(sched.n_rotations) is int
+        assert (sched.n_rotations, sched.intervals) == (3, 6)
+
+    def test_refuses_the_interval_count_form(self):
+        # EchoSchedule(n, f, intervals, lag) would read intervals as the lag
+        # and lag as refocus
+        for lag in (0.0, 0.7):
+            with pytest.raises(ValueError, match="refocus"):
+                EchoSchedule(4, FREQ, 7, lag)
+        with pytest.raises(TypeError, match="intervals"):
+            EchoSchedule(n_rotations=1, frequency=FREQ, intervals=2, readout_lag=0.0)
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             build_echo_schedule(1, 0.0)
         for f in (0.0, -FREQ, math.nan):
             with pytest.raises(ValueError, match="positive"):
-                EchoSchedule(n_rotations=1, frequency=f, intervals=2, readout_lag=0.0)
+                EchoSchedule(n_rotations=1, frequency=f, readout_lag=0.0)
 
     @pytest.mark.parametrize("lag", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_lag_by_name(self, lag):
@@ -97,11 +111,6 @@ class TestBuildEchoSchedule:
         # phase nan rad is not resolved", which names no argument
         with pytest.raises(ValueError, match="readout lag"):
             build_echo_schedule(3, FREQ, lag)
-
-    def test_odd_schedule_counts(self):
-        sched = odd_schedule(5, FREQ)
-        assert sched.intervals == 9
-        assert sched.duration == pytest.approx(9.0 / (2.0 * FREQ), rel=1e-12)
 
 
 class TestSimulateRunClosedForm:
@@ -120,6 +129,12 @@ class TestSimulateRunClosedForm:
         envelope = math.exp(-sched.duration / PARAMS.T2)
         assert run.p1 == pytest.approx(0.5 * (1.0 + envelope * math.cos(phi - lag)), abs=1e-12)
         assert run.ac_phase == pytest.approx(phi, rel=1e-12)
+
+    def test_fringe_phase_is_the_cosine_argument(self):
+        sched = build_echo_schedule(4, FREQ, 0.7)
+        run = simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=1e3)
+        assert run.fringe_phase == run.ac_phase + run.static_phase - 0.7
+        assert run.p1 == 0.5 * (1.0 + run.coherence * math.cos(run.fringe_phase))
 
     def test_rejects_tilted_trajectory(self):
         tilted = station_trajectory(RADIUS, FREQ, tilt=0.1)
@@ -211,18 +226,6 @@ class TestOracleAgreement:
                               detuning_hz=2.5e5, steps_per_interval=30000)
         assert oracle.p1 == pytest.approx(closed.p1, abs=1e-7)
 
-    def test_odd_schedule_oracle_keeps_the_uncancelled_tick(self):
-        # 2n-1 intervals leave one detuning tick 2*pi*delta*h = pi/4 at 1 kHz,
-        # and the odd pi-pulse count swaps |0> and |1> at readout
-        sched = odd_schedule(2, FREQ, 0.3)
-        closed = simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=1e3)
-        oracle = simulate_run(sched, TRAJ, FIELD, PARAMS, mode="oracle",
-                              detuning_hz=1e3, steps_per_interval=30000)
-        assert closed.static_phase == pytest.approx(math.pi / 4.0, rel=1e-12)
-        assert oracle.p1 == pytest.approx(closed.p1, abs=1e-7)
-        untuned = simulate_run(sched, TRAJ, FIELD, PARAMS)
-        assert abs(untuned.p1 - closed.p1) > 0.1
-
     def test_pi_free_oracle_matches_closed_form(self):
         sched = strip_pi_pulses(build_echo_schedule(2, FREQ, 0.3))
         closed = simulate_run(sched, TRAJ, FIELD, PARAMS, detuning_hz=1e3)
@@ -278,10 +281,9 @@ class TestOracleReusesOneRotation:
         (build_echo_schedule(7, FREQ, 0.3), TRAJ, {}),
         (build_echo_schedule(7, FREQ, 0.3), TILTED_TRAJ, {}),
         (build_echo_schedule(3, FREQ, 0.3), TILTED_TRAJ, {"detuning_hz": 1e4}),
-        (odd_schedule(3, FREQ, 0.3), TILTED_TRAJ, {"detuning_hz": 1e3}),
         (strip_pi_pulses(build_echo_schedule(3, FREQ, 0.3)), TILTED_TRAJ,
          {"detuning_hz": 1e3}),
-    ], ids=["planar", "tilted", "detuned", "odd-schedule", "no-pi-pulses"])
+    ], ids=["planar", "tilted", "detuned", "no-pi-pulses"])
     def test_matches_the_per_interval_integration(self, sched, traj, kwargs):
         run = simulate_run(sched, traj, FIELD, PARAMS, mode="oracle",
                            steps_per_interval=2000, **kwargs)
@@ -291,11 +293,10 @@ class TestOracleReusesOneRotation:
         assert abs(run.ac_phase - ac_phase) <= 1e-14
 
     @pytest.mark.parametrize("sched, built", [
-        (odd_schedule(1, FREQ), 1),
         (build_echo_schedule(1, FREQ), 2),
         (build_echo_schedule(7, FREQ), 2),
         (build_echo_schedule(20, FREQ), 2),
-    ], ids=["one-interval", "n1", "n7", "n20"])
+    ], ids=["n1", "n7", "n20"])
     def test_builds_at_most_two_propagators(self, sched, built, monkeypatch):
         calls = []
         build = holonomy.path_ordered_propagator
@@ -334,12 +335,10 @@ class TestOracleAsOneUnitary:
         assert abs(oracle.p1 - closed.p1) <= 1e-14
 
     @pytest.mark.parametrize("sched", [
-        odd_schedule(1, FREQ),
         build_echo_schedule(1, FREQ),
         build_echo_schedule(7, FREQ),
-        odd_schedule(3, FREQ),
         strip_pi_pulses(build_echo_schedule(3, FREQ)),
-    ], ids=["one-interval", "n1", "n7", "odd-schedule", "no-pi-pulses"])
+    ], ids=["n1", "n7", "no-pi-pulses"])
     def test_takes_one_polar_factor(self, sched, monkeypatch):
         calls = []
         svd = np.linalg.svd
@@ -363,13 +362,6 @@ class TestEchoCancellation:
     def test_zero_detuning(self):
         sched = build_echo_schedule(5, FREQ)
         assert static_phase(0.0, sched) == 0.0
-
-    def test_odd_schedule_leaves_one_interval(self):
-        detuning = 1e6
-        sched = odd_schedule(5, FREQ)
-        residual = static_phase(detuning, sched)
-        expected = 2.0 * math.pi * detuning / (2.0 * FREQ)
-        assert abs(residual) == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(detuning=st.floats(min_value=0.0, max_value=1e7))
