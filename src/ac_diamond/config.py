@@ -66,8 +66,12 @@ class ExperimentConfig:
                 raise ConfigError(f"config key {key!r} must be positive")
         non_negative = ("n", "B_z", "R2E", "alpha0", "alpha1", "seed")
         for key in non_negative:
-            if getattr(self, key) < 0.0:
+            if not getattr(self, key) >= 0.0:  # also refuses NaN
                 raise ConfigError(f"config key {key!r} must be non-negative")
+        finite = ("tilt",) if isinstance(self.lag, str) else ("tilt", "lag")
+        for key in finite:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"config key {key!r} must be finite")
         if self.n > MAX_ROTATIONS:
             raise ConfigError(
                 f"config key 'n' must be at most {MAX_ROTATIONS} rotations, got {self.n!r}"

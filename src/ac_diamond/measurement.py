@@ -15,6 +15,7 @@ photon counts come from a Poisson sampler built on those uniforms alone.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -66,8 +67,9 @@ def monte_carlo_experiment(
     (inputs, seed).  A photon count mean above ``POISSON_LAM_MAX`` raises
     NumericPreconditionError.
     """
-    if shots < 1:
-        raise ValueError("shots must be a positive integer")
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+    shots = int(shots)
     run = simulate_run(
         schedule, traj, FieldConfig(magnitude=e_bias), params, mode="closed_form"
     )

@@ -20,9 +20,9 @@ meaningful computations rather than tautologies.
 
 The closed-form engine (schedules, runs, sweeps) computes in Python floats
 and imports no numpy; its float operations follow numpy's own order, so a
-sweep is bit for bit what ``np.linspace`` and ``np.gradient`` gave.  Where
-numpy under ``np.errstate`` raised (a float overflow, a division by a zero
-that an underflow made), it raises :class:`NumericPreconditionError`.  Only
+sweep's columns are bit for bit what ``np.linspace`` and numpy's elementwise
+expressions give.  Where numpy under ``np.errstate`` raised (a float
+overflow), it raises :class:`NumericPreconditionError`.  Only
 the oracle imports numpy and the stepper, when it runs.  It builds the whole
 run as one unitary, in about log2(n) 3x3 products: the two interval
 propagators of one rotation, each followed by its pi pulse, raised to the
@@ -278,13 +278,12 @@ def linear_grid(stop: float, points: int) -> list[float]:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Fluorescence curve over a field grid, plus slope diagnostics."""
+    """Fluorescence curve over a field grid, and its steepest grid point."""
 
     e_values: list[float]
     phases: list[float]
     p1: list[float]
     p1_decohered: list[float]
-    slopes: list[float]
     max_slope_index: int
 
 
@@ -299,16 +298,17 @@ def sweep_signal(
     The rectified phase is linear in E, so the schedule is walked once at unit
     field and p1 follows for every grid point from that one walk.  ``p1`` is
     the T2 -> infinity fringe; ``p1_decohered`` applies the exact envelope
-    identity p1_T2 = 1/2 + exp(-t_r/T2)*(p1 - 1/2).  The slope column uses
-    central differences (one-sided at the grid ends), see :func:`_gradient`.
+    identity p1_T2 = 1/2 + exp(-t_r/T2)*(p1 - 1/2).  With p1 = 1/2*(1 + cos t)
+    and t linear in E, |dp1/dE| is proportional to |sin t|, which falls as
+    |p1 - 1/2| grows: ``max_slope_index`` is the first point whose ``p1`` is
+    nearest 1/2.
     """
     e_values = [float(e) for e in e_values]
     if not e_values:
         raise ValueError("sweep grid is empty")
-    spacing = [b - a for a, b in zip(e_values, e_values[1:])]
-    if not (all(dx > 0.0 for dx in spacing) and e_values[0] >= 0.0):
-        # a repeated E makes the slope column divide by zero; through the CLI
-        # that means E0 too small to resolve the grid, hence exit 3
+    if not (e_values[0] >= 0.0 and all(a < b for a, b in zip(e_values, e_values[1:]))):
+        # through the CLI a repeated E means E0 too small to resolve the
+        # grid, hence exit 3
         raise NumericPreconditionError(
             "sweep grid must be strictly increasing from E >= 0"
         )
@@ -324,52 +324,14 @@ def sweep_signal(
     scale = HBAR * C_LIGHT**2
     phases = [head * e * schedule.n_rotations / scale for e in e_values]
     envelope = math.exp(-schedule.duration / params.T2)
-    p1_decohered = [0.5 + envelope * (p - 0.5) for p in p1]
-    slopes = _gradient(p1_decohered, spacing) if spacing else [0.0]
     return SweepResult(
         e_values=e_values,
         phases=phases,
         p1=p1,
-        p1_decohered=p1_decohered,
-        slopes=slopes,
-        max_slope_index=max(range(len(slopes)), key=lambda i: abs(slopes[i])),
+        p1_decohered=[0.5 + envelope * (p - 0.5) for p in p1],
+        # p1, not p1_decohered: the envelope's rounding could tie points
+        max_slope_index=min(range(len(p1)), key=lambda i: abs(p1[i] - 0.5)),
     )
-
-
-def _gradient(f, spacing) -> list[float]:
-    """``np.gradient(f, x)`` for the positive grid steps ``spacing`` of x, in
-    numpy's float operations: central differences inside, first-order
-    one-sided ones at the ends.
-
-    Equal steps h give (f[i+1] - f[i-1])/(2h), unequal steps the weighted
-    three-point formula.  A divisor that overflows or underflows to zero, or
-    a slope that overflows, is refused, as numpy's errstate refused it.
-    """
-    h = spacing[0]
-    if all(dx == h for dx in spacing):
-        two_h = 2.0 * h  # numpy forms 2h even without interior points
-        if not two_h < math.inf:
-            raise NumericPreconditionError(f"sweep grid step {h!r} V/m: 2*step overflows")
-        inner = [(f[i + 1] - f[i - 1]) / two_h for i in range(1, len(f) - 1)]
-    else:
-        inner = []
-        for dx1, dx2, f0, f1, f2 in zip(spacing, spacing[1:], f, f[1:], f[2:]):
-            span = dx1 + dx2
-            den_a, den_b, den_c = dx1 * span, dx1 * dx2, dx2 * span
-            if not (0.0 < den_a < math.inf and 0.0 < den_b < math.inf
-                    and 0.0 < den_c < math.inf):
-                raise NumericPreconditionError(
-                    f"sweep grid steps {dx1!r}, {dx2!r} V/m: a product of two "
-                    "steps overflows or underflows to zero"
-                )
-            a, b, c = -dx2 / den_a, (dx2 - dx1) / den_b, dx1 / den_c
-            inner.append(a * f0 + b * f1 + c * f2)
-    slopes = [(f[1] - f[0]) / spacing[0], *inner, (f[-1] - f[-2]) / spacing[-1]]
-    if not all(abs(slope) < math.inf for slope in slopes):  # also refuses NaN
-        raise NumericPreconditionError(
-            "sweep slope column is not finite: the grid step is too fine"
-        )
-    return slopes
 
 
 def fringe_zero_crossings(p1_values) -> int:

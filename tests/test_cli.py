@@ -332,13 +332,15 @@ EXTREME_VALUES = {
                          (3,)),  # diameter inf
     "montecarlo-overflowing-phase": (["montecarlo"], "r = 1e303\nn = 2\n",
                                      (3,)),  # r*E overflows
+    # grid steps whose squares (or doubles) under- or overflow: the closed
+    # form takes no finite difference, so these sweeps return
     "sweep-underflowing-spacing": (["sweep"], "E0 = 1e-213\nn = 7\n",
-                                   (3,)),  # spacing^2 underflows
+                                   (0,)),  # spacing^2 underflows
     "sweep-overflowing-spacing": (["sweep"], "r = 1e-300\nE0 = 1e308\nn = 1\n",
-                                  (3,)),  # spacing^2 overflows
-    # no interior point, but np.gradient forms 2*spacing, which overflows
+                                  (0,)),  # spacing^2 overflows
     "sweep-overflowing-two-point-spacing": (["sweep", "--grid", "2"],
-                                            "r = 1e-300\nE0 = 1e308\nn = 1\n", (3,)),
+                                            "r = 1e-300\nE0 = 1e308\nn = 1\n",
+                                            (0,)),  # 2*spacing overflows
     # the last point of linspace, (grid - 1)*(E0/(grid - 1)), overflows
     "sweep-overflowing-grid": (["sweep", "--grid", "4"],
                                "r = 1e-300\nE0 = 1.7976931348623157e308\nn = 1\n", (3,)),

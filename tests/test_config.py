@@ -145,6 +145,16 @@ class TestConstraints:
             with pytest.raises(ConfigError, match="'n' must be at most"):
                 ExperimentConfig(n=n)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", math.nan), ("B_z", math.nan), ("R2E", math.nan), ("alpha1", math.nan),
+        ("seed", math.nan), ("tilt", math.nan), ("tilt", math.inf), ("tilt", -math.inf),
+        ("lag", math.nan), ("lag", math.inf),
+    ])
+    def test_non_finite_value_refused_by_name(self, key, value):
+        # load_config refuses these first; the Python API reaches the record
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ExperimentConfig(**{key: value})
+
     @pytest.mark.parametrize("n", [math.nan, -math.inf, math.inf])
     def test_integer_rotations_refuses_non_finite_by_name(self, n):
         # NaN and -inf used to end in round()'s bare "cannot convert float

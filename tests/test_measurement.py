@@ -163,6 +163,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_experiment(E0_PHI10, SCHEDULE, TRAJ, PARAMS, MODEL, 0, 1)
 
+    @pytest.mark.parametrize("shots", [2.5, 10.0, math.nan, True, False, -3, "5"])
+    def test_non_integer_shots_refused_by_name(self, shots):
+        with pytest.raises(ValueError, match="shots must be a positive integer"):
+            monte_carlo_experiment(E0_PHI10, SCHEDULE, TRAJ, PARAMS, MODEL, shots, 1)
+
     def test_estimate_record_fields(self):
         est = monte_carlo_experiment(E0_PHI10, SCHEDULE, TRAJ, PARAMS, MODEL,
                                      500, 3)
