@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import importlib
+import math
 import numbers
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 from .config import AUTO_LAG, ExperimentConfig, load_config
 from .errors import ConfigError, NumericPreconditionError
 from .physics import (
-    NVParameters, ReadoutModel, contrast, sensitivity_report, stark_shift,
+    TWO_PI, NVParameters, ReadoutModel, contrast, sensitivity_report, stark_shift,
     total_rectified_phase,
 )
 
@@ -101,10 +102,9 @@ def _nv_params(cfg: ExperimentConfig) -> NVParameters:
 
 
 def _resolved_lag(cfg: ExperimentConfig) -> float:
-    phi_max = total_rectified_phase(cfg.r, cfg.E0, cfg.n, cfg.g)
-    if cfg.lag == AUTO_LAG:
-        return lazy.optimal_readout_lag(phi_max)
-    return float(cfg.lag)
+    if cfg.lag != AUTO_LAG:
+        return float(cfg.lag)
+    return lazy.optimal_readout_lag(total_rectified_phase(cfg.r, cfg.E0, cfg.n, cfg.g))
 
 
 def _echo_setup(args):
@@ -172,7 +172,8 @@ def _cmd_holonomy(args) -> int:
         params = _nv_params(cfg)
         field = lazy.FieldConfig(magnitude=cfg.E0)
         planar = lazy.station_trajectory(cfg.r, cfg.f, tilt=0.0)
-        tilted = lazy.station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt) if cfg.tilt else planar
+        if cfg.tilt:
+            tilted = lazy.station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt)
         half = 1.0 / (2.0 * cfg.f)
         exact = lazy.segment_phase(0.0, half, planar, field, params)
         rows = []
@@ -181,21 +182,17 @@ def _cmd_holonomy(args) -> int:
             prop = lazy.path_ordered_propagator(
                 lazy.PathSampling(0.0, half, steps, planar, field), params
             )
-            fwd = lazy.path_ordered_propagator(
-                lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field), params
-            )
-            # planar steps commute, so the reverse-ordered product is fwd bit
-            # for bit and the path dependence exactly 0
-            path_dep, rev = 0.0, fwd
-            if tilted is not planar:
-                rev = lazy.path_ordered_propagator(
-                    lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field), params,
-                    reverse=True,
-                )
+            worst_unitarity = max(worst_unitarity, prop.defect)
+            path_dep = 0.0  # planar steps commute
+            if cfg.tilt:
+                loop = lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field)
+                fwd = lazy.path_ordered_propagator(loop, params)
+                rev = lazy.path_ordered_propagator(loop, params, reverse=True)
+                worst_unitarity = max(worst_unitarity, fwd.defect, rev.defect)
                 path_dep = float(np.linalg.norm(fwd.U - rev.U, 2))
-            worst_unitarity = max(worst_unitarity, prop.defect, fwd.defect, rev.defect)
-            rows.append((steps, abs(prop.abelian_phase() - exact), prop.offdiagonal_norm(),
-                         path_dep))
+            # abelian_phase is wrapped into (-pi, pi]; exact is not
+            error = abs(math.remainder(prop.abelian_phase() - exact, TWO_PI))
+            rows.append((steps, error, prop.offdiagonal_norm(), path_dep))
         print(f"planar segment phase (analytic): {exact:.9f} rad")
         print(f"worst unitarity defect: {worst_unitarity:.3e}")
         print(f"tilt used for path-dependence column: {cfg.tilt:g} rad")
@@ -274,14 +271,11 @@ def _cmd_echo_check(args) -> int:
     cfg, schedule, traj = _echo_setup(args)
     field = lazy.FieldConfig(magnitude=cfg.E0)
     params = _nv_params(cfg)
-    baseline = lazy.simulate_run(schedule, traj, field, params, mode="closed_form")
-    rows = []
-    for detuning in ECHO_DETUNINGS:
-        run = lazy.simulate_run(
-            schedule, traj, field, params, mode="closed_form",
-            detuning_hz=detuning,
-        )
-        rows.append((detuning, run.static_phase, abs(run.p1 - baseline.p1)))
+    runs = [lazy.simulate_run(schedule, traj, field, params, mode="closed_form",
+                              detuning_hz=detuning) for detuning in ECHO_DETUNINGS]
+    baseline = runs[0]  # ECHO_DETUNINGS[0] is 0 Hz
+    rows = [(detuning, run.static_phase, abs(run.p1 - baseline.p1))
+            for detuning, run in zip(ECHO_DETUNINGS, runs)]
     worst = max(abs(row[1]) for row in rows)
     print(f"echoed A-C phase: {baseline.ac_phase:.6f} rad; p1 = {baseline.p1:.6f}")
     print(f"max residual non-A-C phase over detunings: {worst:.3e} rad")

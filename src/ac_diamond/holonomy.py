@@ -147,7 +147,8 @@ class Propagator:
         return self._matrix
 
     def abelian_phase(self) -> float:
-        """Phi such that <+1|U|+1> = exp(-i*Phi) (planar case)."""
+        """Phi such that <+1|U|+1> = exp(-i*Phi) (planar case), wrapped into
+        (-pi, pi]."""
         return -cmath.phase(self.diagonal[2] if self.diagonal else complex(self.U[2, 2]))
 
     def offdiagonal_norm(self) -> float:

@@ -79,7 +79,9 @@ def monte_carlo_experiment(
     slope = -0.5 * run.coherence * math.sin(run.fringe_phase)
     if abs(slope) < 1e-12:
         raise NumericPreconditionError(
-            "bias point sits at zero fringe slope; phase is not invertible there"
+            f"|fringe slope| {abs(slope):.3g} at the bias point is below 1e-12 "
+            f"(coherence {run.coherence:.3g}, fringe phase {run.fringe_phase:.6g} rad); "
+            "phase is not invertible there"
         )
     uniform = random.Random(seed).random
     draw_count_1 = _poisson_sampler(model.alpha1, uniform)

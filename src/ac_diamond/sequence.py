@@ -21,7 +21,8 @@ meaningful computations rather than tautologies.
 The closed-form engine (schedules, runs, sweeps) computes in Python floats
 and imports no numpy; its float operations follow numpy's own order, so a
 sweep's columns are bit for bit what ``np.linspace`` and numpy's elementwise
-expressions give.  Where numpy under ``np.errstate`` raised (a float
+expressions give.  A sweep walks the schedule once, for p1; its phase column
+is :func:`total_rectified_phase` at each grid point.  Where numpy under ``np.errstate`` raised (a float
 overflow), it raises :class:`NumericPreconditionError`.  Only
 the oracle imports numpy and the stepper, when it runs.  It builds the whole
 run as one unitary, in about log2(n) 3x3 products: the two interval
@@ -37,9 +38,8 @@ from dataclasses import dataclass, replace
 from .config import integer_rotations
 from .errors import NumericPreconditionError
 from .geometry import DiskTrajectory, FieldConfig
-from .phase import segment_phase
-from .phase import total_rectified_phase  # noqa: F401  (a benchmark tracer site)
-from .physics import C_LIGHT, HBAR, MU_B, TWO_PI, NVParameters
+from .phase import segment_phase, total_rectified_phase
+from .physics import TWO_PI, NVParameters
 
 MAX_PHASE_ULP = 1e-6  # rad; coarsest phase spacing the closed form may pass to cos
 FRINGE_SNAP = 1e-10  # p1 this close to 1/2 counts as on the fringe zero
@@ -296,9 +296,10 @@ def sweep_signal(
     """Closed-form signal for each field magnitude on a strictly increasing grid.
 
     The rectified phase is linear in E, so the schedule is walked once at unit
-    field and p1 follows for every grid point from that one walk.  ``p1`` is
-    the T2 -> infinity fringe; ``p1_decohered`` applies the exact envelope
-    identity p1_T2 = 1/2 + exp(-t_r/T2)*(p1 - 1/2).  With p1 = 1/2*(1 + cos t)
+    field and p1 follows for every grid point from that one walk; ``phases``
+    is :func:`total_rectified_phase` at each E.  ``p1`` is the T2 -> infinity
+    fringe; ``p1_decohered`` applies the exact envelope identity
+    p1_T2 = 1/2 + exp(-t_r/T2)*(p1 - 1/2).  With p1 = 1/2*(1 + cos t)
     and t linear in E, |dp1/dE| is proportional to |sin t|, which falls as
     |p1 - 1/2| grows: ``max_slope_index`` is the first point whose ``p1`` is
     nearest 1/2.
@@ -318,11 +319,10 @@ def sweep_signal(
     )
     p1 = _echo_p1(e_values, walk, 1.0)
     _require_population(p1)
-    # total_rectified_phase at each E, in its float order; every phase is
-    # finite, since it is E*phi, whose size _echo_p1 has bounded
-    head = 4.0 * params.g * MU_B * traj.radius
-    scale = HBAR * C_LIGHT**2
-    phases = [head * e * schedule.n_rotations / scale for e in e_values]
+    phases = [
+        total_rectified_phase(traj.radius, e, schedule.n_rotations, params.g)
+        for e in e_values
+    ]
     envelope = math.exp(-schedule.duration / params.T2)
     return SweepResult(
         e_values=e_values,

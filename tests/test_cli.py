@@ -17,6 +17,8 @@ from ac_diamond.cli import CSV_VERSION, main
 from ac_diamond.config import MAX_ROTATIONS, ExperimentConfig, load_config
 from ac_diamond.geometry import FieldConfig, station_trajectory
 from ac_diamond.holonomy import PathSampling, path_ordered_propagator
+from ac_diamond.physics import total_rectified_phase
+from ac_diamond.sequence import simulate_run
 
 DEFAULT_CFG = "configs/default.cfg"
 PHI10_CFG = "configs/phi10.cfg"
@@ -111,8 +113,31 @@ class TestHolonomy:
         assert main(["holonomy", "--config", PHI10_CFG, "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert len(rows) == 5
-        assert calls == [False] * 10  # the planar segment and the forward loop per rung
+        assert calls == [False] * 5  # one half-turn propagator per rung
         assert all(float(r[3]) == 0.0 for r in rows)
+
+    def test_planar_run_gates_only_the_half_turn(self, tmp_path):
+        # each rung's half turn is inside the step gate at 2000 steps; a full
+        # turn at the same step count would not be
+        cfg = tmp_path / "strong.cfg"
+        cfg.write_text("n = 1\nE0 = 6e8\n")
+        out = tmp_path / "hol.csv"
+        assert main(["holonomy", "--config", str(cfg), "--steps", "2000",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [int(r[0]) for r in rows] == [125, 250, 500, 1000, 2000]
+
+    def test_phase_error_past_pi_converges_at_second_order(self, tmp_path, capsys):
+        # the half-turn phase is 3.52 rad, past pi, where abelian_phase wraps
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("r = 0.03\n")
+        out = tmp_path / "hol.csv"
+        assert main(["holonomy", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "planar segment phase (analytic): 3.522512130 rad" in capsys.readouterr().out
+        _, rows = read_csv(out)
+        errors = [float(r[1]) for r in rows]
+        assert all(e < 1e-6 for e in errors)
+        assert all(3.5 <= a / b <= 4.5 for a, b in zip(errors, errors[1:]))
 
     def test_tilted_run_takes_the_reverse_product(self, tmp_path, monkeypatch):
         cfg = tmp_path / "tilted.cfg"
@@ -235,6 +260,37 @@ class TestEchoCheck:
             assert abs(float(row[1])) < 1e-9
             assert abs(float(row[2])) < 1e-9
         assert float(rows[-1][0]) == 1e7
+
+    def test_runs_each_detuning_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("detuning_hz", 0.0))
+            return simulate_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_run", counted)
+        out = tmp_path / "echo.csv"
+        assert main(["echo-check", "--config", PHI10_CFG, "--out", str(out)]) == 0
+        assert cli.ECHO_DETUNINGS[0] == 0.0  # the first run is the baseline
+        assert calls == list(cli.ECHO_DETUNINGS)
+        _, rows = read_csv(out)
+        assert float(rows[0][0]) == 0.0 and float(rows[0][2]) == 0.0
+
+    @pytest.mark.parametrize("lag, phases", [("1.0", 0), ("auto", 1)])
+    def test_forms_the_headline_phase_only_for_the_auto_lag(self, lag, phases, tmp_path,
+                                                             monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return total_rectified_phase(*args)
+
+        monkeypatch.setattr(cli, "total_rectified_phase", counted)
+        cfg = tmp_path / "lag.cfg"
+        cfg.write_text(f"n = 7\nlag = {lag}\n")
+        assert main(["echo-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "echo.csv")]) == 0
+        assert len(calls) == phases
 
 
 class TestErrors:

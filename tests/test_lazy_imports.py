@@ -147,9 +147,9 @@ def test_numpy_subcommands_call_through_the_module_attributes(tmp_path):
     weak.write_text("E0 = 1e6\n")  # so that the 1-step rung resolves the rotation
     assert cli.main(["montecarlo", "--config", PHI10_CFG, "--out", out]) == 0
     assert cli.main(["holonomy", "--config", str(weak), "--steps", "16", "--out", out]) == 0
-    # one estimate a rung of the shot ladder; the planar segment and the
-    # forward loop on each of 5 rungs
-    assert calls == {"monte_carlo_experiment": 3, "path_ordered_propagator": 10}
+    # one estimate a rung of the shot ladder; one planar half turn on each
+    # of 5 rungs
+    assert calls == {"monte_carlo_experiment": 3, "path_ordered_propagator": 5}
     assert (cli.monte_carlo_experiment, cli.path_ordered_propagator) == patched
 
 

@@ -155,9 +155,18 @@ class TestMonteCarlo:
         assert est.per_shot_std == pytest.approx(predicted, rel=0.1)
 
     def test_zero_slope_bias_rejected(self):
+        # zero field and zero lag: the fringe phase is 0, at the fringe's top
         flat_schedule = build_echo_schedule(7, FREQ, 0.0)
-        with pytest.raises(NumericPreconditionError):
+        with pytest.raises(NumericPreconditionError,
+                           match=r"\|fringe slope\| 0 .* fringe phase 0 rad\)"):
             monte_carlo_experiment(0.0, flat_schedule, TRAJ, PARAMS, MODEL, 100, 1)
+
+    def test_vanished_coherence_rejected_by_name(self):
+        # the bias point sits at quadrature (5*pi/2), but exp(-t_r/T2) underflows to 0
+        params = NVParameters(T2=1e-300)
+        with pytest.raises(NumericPreconditionError,
+                           match=r"\|fringe slope\| 0 .*\(coherence 0, fringe phase 7\.85398 rad\)"):
+            monte_carlo_experiment(E0_PHI10, SCHEDULE, TRAJ, params, MODEL, 100, 1)
 
     def test_requires_positive_shots(self):
         with pytest.raises(ValueError):
