@@ -21,10 +21,11 @@ meaningful computations rather than tautologies.
 The closed-form engine (schedules, runs, sweeps) computes in Python floats
 and imports no numpy; its float operations follow numpy's own order, so a
 sweep's columns are bit for bit what ``np.linspace`` and numpy's elementwise
-expressions give.  A sweep walks the schedule once, for p1; its phase column
-is :func:`total_rectified_phase` at each grid point.  Where numpy under ``np.errstate`` raised (a float
-overflow), it raises :class:`NumericPreconditionError`.  Only
-the oracle imports numpy and the stepper, when it runs.  It builds the whole
+expressions give.  A sweep walks the schedule once, for p1; its phase
+column is :func:`total_rectified_phase` at each grid point.  Where numpy
+under ``np.errstate`` raised (a float overflow), it raises
+:class:`NumericPreconditionError`.  Only the oracle imports numpy and the
+stepper, when it runs.  It builds the whole
 run as one unitary, in about log2(n) 3x3 products: the two interval
 propagators of one rotation, each followed by its pi pulse, raised to the
 n-th power, with the polar factor of the result as the run.

@@ -17,15 +17,12 @@ was written with.  The help texts and refusals are argparse's own
 formatting, written under Python 3.11; another Python minor version may wrap
 or word them differently.
 
-After an intended output change, regenerate the changed cases from the
-repository root with
+After an intended output change, regenerate the files from the repository
+root with
 
-    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
+    PYTHONPATH=src python tests/test_golden.py
 
-which rewrites only the named files (the case names are the file stems), and
-list every changed file, and why it changed, in CHANGES.md.  With no name it
-deletes and rewrites every file, ``holonomy-tilted.txt`` and its numpy
-version included.
+and list every changed file, and why it changed, in CHANGES.md.
 """
 
 import importlib.util
@@ -180,18 +177,12 @@ if __name__ == "__main__":
     import os
     import tempfile
 
-    names = sys.argv[1:]
-    unknown = [name for name in names if name not in CASES]
-    if unknown:
-        sys.exit(f"no golden case named {', '.join(unknown)}")
     os.chdir(ROOT)
     os.environ["COLUMNS"] = COLUMNS
-    if not names:
-        for old in GOLDEN.glob("*.txt"):
-            old.unlink()
-    for name in names or CASES:
+    for old in GOLDEN.glob("*.txt"):
+        old.unlink()
+    for name in CASES:
         with tempfile.TemporaryDirectory() as workdir:
             code, streams = run_case(name, Path(workdir))
         (GOLDEN / f"{name}.txt").write_text(render(name, code, streams))
-    print(f"wrote {len(names or CASES)} golden files to {GOLDEN.relative_to(ROOT)}",
-          file=sys.stderr)
+    print(f"wrote {len(CASES)} golden files to {GOLDEN.relative_to(ROOT)}", file=sys.stderr)
