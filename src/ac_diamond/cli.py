@@ -9,7 +9,6 @@ invalid operation), 1 I/O failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import importlib
 import math
@@ -161,47 +160,41 @@ def _holonomy_ladder(max_steps: int) -> list[int]:
 
 def _cmd_holonomy(args) -> int:
     cfg = _load(args)
-    guard = contextlib.nullcontext()
+    params = _nv_params(cfg)
+    field = lazy.FieldConfig(magnitude=cfg.E0)
+    planar = lazy.station_trajectory(cfg.r, cfg.f, tilt=0.0)
     if cfg.tilt:  # a planar disk's propagator is computed without numpy
         import numpy as np
 
-        # a float overflow, 0/0 or x/0 is a numeric precondition violation
-        # (exit 3), not a warning printed before inf/NaN output
-        guard = np.errstate(over="raise", divide="raise", invalid="raise")
-    with guard:
-        params = _nv_params(cfg)
-        field = lazy.FieldConfig(magnitude=cfg.E0)
-        planar = lazy.station_trajectory(cfg.r, cfg.f, tilt=0.0)
-        if cfg.tilt:
-            tilted = lazy.station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt)
-        half = 1.0 / (2.0 * cfg.f)
-        exact = lazy.segment_phase(0.0, half, planar, field, params)
-        rows = []
-        worst_unitarity = 0.0
-        for steps in _holonomy_ladder(args.steps):
-            prop = lazy.path_ordered_propagator(
-                lazy.PathSampling(0.0, half, steps, planar, field), params
-            )
-            worst_unitarity = max(worst_unitarity, prop.defect)
-            path_dep = 0.0  # planar steps commute
-            if cfg.tilt:
-                loop = lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field)
-                fwd = lazy.path_ordered_propagator(loop, params)
-                rev = lazy.path_ordered_propagator(loop, params, reverse=True)
-                worst_unitarity = max(worst_unitarity, fwd.defect, rev.defect)
-                path_dep = float(np.linalg.norm(fwd.U - rev.U, 2))
-            # abelian_phase is wrapped into (-pi, pi]; exact is not
-            error = abs(math.remainder(prop.abelian_phase() - exact, TWO_PI))
-            rows.append((steps, error, prop.offdiagonal_norm(), path_dep))
-        print(f"planar segment phase (analytic): {exact:.9f} rad")
-        print(f"worst unitarity defect: {worst_unitarity:.3e}")
-        print(f"tilt used for path-dependence column: {cfg.tilt:g} rad")
-        _emit_csv(
-            args.out,
-            ("steps", "planar_phase_error", "offdiag_norm", "path_dep_norm"),
-            rows,
+        tilted = lazy.station_trajectory(cfg.r, cfg.f, tilt=cfg.tilt)
+    half = 1.0 / (2.0 * cfg.f)
+    exact = lazy.segment_phase(0.0, half, planar, field, params)
+    rows = []
+    worst_unitarity = 0.0
+    for steps in _holonomy_ladder(args.steps):
+        prop = lazy.path_ordered_propagator(
+            lazy.PathSampling(0.0, half, steps, planar, field), params
         )
-        return 0
+        worst_unitarity = max(worst_unitarity, prop.defect)
+        path_dep = 0.0  # planar steps commute
+        if cfg.tilt:
+            loop = lazy.PathSampling(0.0, 2.0 * half, steps, tilted, field)
+            fwd = lazy.path_ordered_propagator(loop, params)
+            rev = lazy.path_ordered_propagator(loop, params, reverse=True)
+            worst_unitarity = max(worst_unitarity, fwd.defect, rev.defect)
+            path_dep = float(np.linalg.norm(fwd.U - rev.U, 2))
+        # abelian_phase is wrapped into (-pi, pi]; exact is not
+        error = abs(math.remainder(prop.abelian_phase() - exact, TWO_PI))
+        rows.append((steps, error, prop.offdiagonal_norm(), path_dep))
+    print(f"planar segment phase (analytic): {exact:.9f} rad")
+    print(f"worst unitarity defect: {worst_unitarity:.3e}")
+    print(f"tilt used for path-dependence column: {cfg.tilt:g} rad")
+    _emit_csv(
+        args.out,
+        ("steps", "planar_phase_error", "offdiag_norm", "path_dep_norm"),
+        rows,
+    )
+    return 0
 
 
 def _cmd_sensitivity(args) -> int:

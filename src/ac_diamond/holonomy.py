@@ -175,11 +175,12 @@ def _coupling_axes(
     import numpy as np
 
     midpoints = sampling.t_start + (np.arange(start, stop) + 0.5) * sampling.dt
-    v = velocity(sampling.trajectory, midpoints)
-    e_cross_v = np.zeros_like(v)
-    e_cross_v[:, 1] = -v[:, 2]
-    e_cross_v[:, 2] = v[:, 1]
+    # an angle 2*pi*f*t or an axis past the float range is refused by name below
     with np.errstate(over="ignore", invalid="ignore"):
+        v = velocity(sampling.trajectory, midpoints)
+        e_cross_v = np.zeros_like(v)
+        e_cross_v[:, 1] = -v[:, 2]
+        e_cross_v[:, 2] = v[:, 1]
         axes = coupling_constant(params) * (sampling.field.magnitude * e_cross_v)
     _check_finite_axes(np.all(np.isfinite(axes)))
     return axes
@@ -212,7 +213,7 @@ def _step_exponentials(axes: np.ndarray, dt: float, c: float) -> np.ndarray:
     """
     import numpy as np
 
-    norm = np.linalg.norm(axes, axis=1)
+    norm = np.hypot(np.hypot(axes[:, 0], axes[:, 1]), axes[:, 2])  # |a| without squaring
     _check_step_bound(dt * (float(np.max(norm)) + abs(c)))
     k = np.tensordot(axes / np.where(norm > 0.0, norm, 1.0)[:, None], spin_operators(), axes=1)
     phi = (dt * norm)[:, None, None]
@@ -224,12 +225,9 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     import numpy as np
 
     while mats.shape[0] > 1:
-        pairs = mats.shape[0] // 2
-        head = np.matmul(mats[1 : 2 * pairs : 2], mats[0 : 2 * pairs : 2])
-        if mats.shape[0] % 2:
-            mats = np.concatenate([head, mats[2 * pairs :]])
-        else:
-            mats = head
+        if mats.shape[0] % 2:  # pair the last matrix with I
+            mats = np.concatenate([mats, np.eye(3)[None]])
+        mats = mats[1::2] @ mats[0::2]
     return mats[0]
 
 
@@ -331,6 +329,9 @@ def path_ordered_propagator(
     exp(i*c*t_n), column 2 times its conjugate.  exp(-i*C*span) times that
     product is Strang's split prod_n exp(-i*C*dt/2) R_n exp(-i*C*dt/2) (SIAM
     J. Numer. Anal. 5, 506 (1968)), with each step's frame phase rounded once.
+    The tilted product runs under numpy's error state "raise": a float
+    overflow, division by zero or invalid operation in it raises
+    ``FloatingPointError`` (exit 3 from the CLI), for every caller.
     """
     if not math.isfinite(detuning_hz):
         raise NumericPreconditionError(f"detuning_hz = {detuning_hz!r} is not finite")
@@ -346,20 +347,21 @@ def path_ordered_propagator(
         ))
     import numpy as np
 
-    product = np.eye(3, dtype=complex)
-    for start in range(0, sampling.steps, _CHUNK_STEPS):
-        stop = min(start + _CHUNK_STEPS, sampling.steps)
-        steps = _step_exponentials(_coupling_axes(sampling, params, start, stop), dt, c)
-        if c:  # R_n[j, k] * exp(i*(c_j - c_k)*t_n)
-            offsets = (np.arange(start, stop) + 0.5) * dt
-            turn = np.exp(1j * ((span - offsets if reverse else offsets) * c))[:, None]
-            steps[:, 2, :2] *= turn
-            steps[:, :2, 2] *= turn.conj()
-        if reverse:
-            product = product @ _ordered_product(steps[::-1])
-        else:
-            product = _ordered_product(steps) @ product
-    return Propagator(U=np.array(frame)[:, None] * product)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        product = np.eye(3, dtype=complex)
+        for start in range(0, sampling.steps, _CHUNK_STEPS):
+            stop = min(start + _CHUNK_STEPS, sampling.steps)
+            steps = _step_exponentials(_coupling_axes(sampling, params, start, stop), dt, c)
+            if c:  # R_n[j, k] * exp(i*(c_j - c_k)*t_n)
+                offsets = (np.arange(start, stop) + 0.5) * dt
+                turn = np.exp(1j * ((span - offsets if reverse else offsets) * c))[:, None]
+                steps[:, 2, :2] *= turn
+                steps[:, :2, 2] *= turn.conj()
+            if reverse:
+                product = product @ _ordered_product(steps[::-1])
+            else:
+                product = _ordered_product(steps) @ product
+        return Propagator(U=np.array(frame)[:, None] * product)
 
 
 def _sin_minus_angle(d: float) -> float:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ac_diamond import cli
+from ac_diamond import cli, holonomy
 from ac_diamond.cli import CSV_VERSION, main
 from ac_diamond.config import MAX_ROTATIONS, ExperimentConfig, load_config
 from ac_diamond.geometry import FieldConfig, station_trajectory
@@ -174,15 +174,30 @@ class TestHolonomy:
         assert "worst unitarity defect: 9.000e-11\n" in capsys.readouterr().out
 
     def test_float_overflow_exits_3(self, monkeypatch, capsys, tmp_path):
-        # a tilted run is under np.errstate, so a numpy overflow raises, not warns
+        # the tilted stepper runs under np.errstate, so a numpy overflow in it
+        # raises, not warns
         def overflowing(*args, **kwargs):
             return np.float64(1e308) * 10.0
 
         cfg = tmp_path / "tilted.cfg"
         cfg.write_text(Path(PHI10_CFG).read_text() + "tilt = 0.3\n")
-        monkeypatch.setattr(cli, "segment_phase", overflowing)
-        assert main(["holonomy", "--config", str(cfg), "--steps", "16"]) == 3
+        monkeypatch.setattr(holonomy, "_step_exponentials", overflowing)
+        assert main(["holonomy", "--config", str(cfg), "--steps", "256"]) == 3
         assert "overflow encountered" in capsys.readouterr().err
+
+    def test_huge_tilted_rate_takes_its_norm_without_overflow(self, tmp_path, capsys):
+        # |a| is about 1e155 rad/s, whose square overflows, but the span is
+        # 1/f, so every step phase is as at f = 1e140
+        outs = []
+        for f in ("1e154", "1e140"):
+            cfg = tmp_path / f"f{f}.cfg"
+            cfg.write_text(f"r = 1\nf = {f}\nE0 = 1e6\nn = 1\ntilt = 0.3\n")
+            out = tmp_path / f"f{f}.csv"
+            assert main(["holonomy", "--config", str(cfg), "--steps", "4096",
+                         "--out", str(out)]) == 0
+            outs.append(read_csv(out)[1])
+        for huge, moderate in zip(*outs):
+            assert float(huge[3]) == pytest.approx(float(moderate[3]), rel=1e-12)
 
     def test_planar_sum_overflow_exits_3(self, tmp_path, capsys):
         # g = 2e6 makes each midpoint rate about 6e304 rad/s, finite and within
@@ -404,6 +419,8 @@ EXTREME_VALUES = {
                                        (3,)),  # 2r*E0 overflows
     # a mean count beyond the Poisson sampler's int64 range
     "montecarlo-huge-counts": (["montecarlo"], "alpha0 = 1e30\nn = 2\n", (3,)),
+    # mean counts of 10 or more: the Poisson sampler's PTRS rejection branch
+    "montecarlo-bright-readout": (["montecarlo"], "alpha0 = 40\nalpha1 = 20\nn = 7\n", (0,)),
     # Python-float products that overflow to inf without a numpy error
     "phase-overflowing-phase": (["phase"], "r = 1e200\nE0 = 1e200\n", (3,)),
     "stark-overflowing-shift": (["stark"], "E0 = 1e200\n", (3,)),

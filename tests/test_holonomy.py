@@ -30,6 +30,10 @@ from ac_diamond.holonomy import spin_operators
 from ac_diamond.physics import NVParameters
 
 PARAMS = NVParameters()
+# finite, extreme and non-finite inputs, for the refusal property
+ANY_FLOAT = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e-150, 1e150, 1e300, -1e300, 1.7976931348623157e308]
+) | st.floats(-1e3, 1e3)
 RADIUS, FREQ = 0.01, 4000.0
 HALF = 1.0 / (2.0 * FREQ)
 PLANAR = station_trajectory(RADIUS, FREQ)
@@ -199,11 +203,13 @@ class TestPathOrderedPropagator:
         with pytest.raises(NumericPreconditionError):
             path_ordered_propagator(sampling(16, traj=huge), PARAMS)
 
-    def test_infinite_midpoint_angle_rejected(self):
-        # 2*pi*f*t overflows, so math.cos refuses the angle, which is
-        # reported as the non-finite coupling axis numpy's NaN gave
+    @pytest.mark.parametrize("traj", [PLANAR, TILTED], ids=["planar", "tilted"])
+    def test_infinite_midpoint_angle_rejected(self, traj):
+        # 2*pi*f*t overflows: math.cos refuses the planar angle and numpy
+        # makes a NaN tilted axis, both reported as the non-finite coupling
+        # axis, not as an overflow raised by the tilted stepper's error state
         with pytest.raises(NumericPreconditionError, match="coupling axis .* not finite"):
-            path_ordered_propagator(sampling(16, t1=1e308), PARAMS)
+            path_ordered_propagator(sampling(16, t1=1e308, traj=traj), PARAMS)
 
     def test_second_order_convergence(self):
         exact = segment_phase(0.0, HALF, PLANAR, FIELD, PARAMS)
@@ -314,6 +320,25 @@ class TestPathOrderedPropagator:
         with pytest.raises(NumericPreconditionError, match="C\\*span is not finite"):
             path_ordered_propagator(sampling(2000, traj=traj), PARAMS,
                                     detuning_hz=np.float64(1e308))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        radius=ANY_FLOAT, frequency=ANY_FLOAT, tilt=ANY_FLOAT, magnitude=ANY_FLOAT,
+        span=ANY_FLOAT, detuning_hz=ANY_FLOAT, reverse=st.booleans(),
+        steps=st.integers(1, 64).flatmap(
+            lambda n: st.sampled_from([n, float(n), bool(n), np.int64(n)])
+        ),
+    )
+    def test_any_input_returns_or_is_refused(
+        self, radius, frequency, tilt, magnitude, span, detuning_hz, reverse, steps
+    ):
+        # never a bare TypeError, ZeroDivisionError or OverflowError
+        try:
+            traj = station_trajectory(radius, frequency, tilt=tilt)
+            samp = PathSampling(0.0, span, steps, traj, FieldConfig(magnitude=magnitude))
+            path_ordered_propagator(samp, PARAMS, reverse=reverse, detuning_hz=detuning_hz)
+        except (ValueError, FloatingPointError):  # NumericPreconditionError is a ValueError
+            pass
 
     def test_nonunitary_matrix_rejected(self):
         with pytest.raises(ValueError):

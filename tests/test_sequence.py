@@ -309,6 +309,18 @@ class TestOracleReusesOneRotation:
         assert len(calls) == built
 
 
+def test_oracle_float_overflow_in_the_stepper_raises(monkeypatch):
+    # the tilted stepper sets numpy's error state itself, so the oracle gets
+    # the CLI's refusal, not a RuntimeWarning
+    def overflowing(*args, **kwargs):
+        return np.float64(1e308) * 10.0
+
+    monkeypatch.setattr(holonomy, "_step_exponentials", overflowing)
+    with pytest.raises(FloatingPointError, match="overflow encountered"):
+        simulate_run(build_echo_schedule(1, FREQ), TILTED_TRAJ, FIELD, PARAMS,
+                     mode="oracle", steps_per_interval=200)
+
+
 class TestOracleAsOneUnitary:
     """The oracle raises one rotation's unitary to the n-th power and takes a
     single polar factor, so no rounding compounds along the run and every
